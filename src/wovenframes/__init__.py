@@ -2,6 +2,8 @@
 checks by partition enumeration, duals of weavings, and sufficient-condition
 certificates."""
 
+__version__ = "0.1.0"
+
 from .certify import (
     Certificate,
     PerturbParams,
@@ -43,5 +45,3 @@ from .weaving import (
     weaving_canonical_dual,
     weaving_operator,
 )
-
-__version__ = "0.1.0"

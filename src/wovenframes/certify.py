@@ -32,7 +32,7 @@ from .linalg import (
     sym_eig_bounds,
     zero_threshold,
 )
-from .weaving import FrameFamily
+from .weaving import DEFAULT_CAP, FrameFamily, bessel_upper_bound, exhaustive_woven_check
 
 PSD_RTOL = 1e-10
 
@@ -66,11 +66,6 @@ def _require_frame(frame: Frame, name: str) -> Bounds:
     if b.lower <= 0.0:
         raise NotAFrameError(f"{name} does not span (lower bound 0)")
     return b
-
-
-def _psd_min_eig(m) -> float:
-    lam_min, _ = sym_eig_bounds(m)
-    return lam_min
 
 
 def certify_dual_canonicals(f: Frame, g: Frame, universal: Bounds) -> Certificate:
@@ -126,18 +121,16 @@ def certify_dual_canonicals(f: Frame, g: Frame, universal: Bounds) -> Certificat
 
 
 def verify_operator_characterization(
-    family: FrameFamily, a: float, cap: int | None = None, threads: int = 1
+    family: FrameFamily, a: float, cap: int = DEFAULT_CAP, threads: int = 1
 ) -> Certificate:
     """Every weaving synthesis operator satisfies T_W T_W^T >= A I.
 
     This condition is equivalent to wovenness with universal lower bound >= A,
     so it delegates to the exhaustive scan over all partitions.
     """
-    from .weaving import DEFAULT_CAP, bessel_upper_bound, exhaustive_woven_check
-
     if a <= 0.0:
         raise InvalidParamsError(f"the lower-bound constant must be positive, got {a}")
-    report = exhaustive_woven_check(family, cap=cap or DEFAULT_CAP, threads=threads)
+    report = exhaustive_woven_check(family, cap=cap, threads=threads)
     margins = {
         "requested_lower": a,
         "universal_lower": report.universal_lower,

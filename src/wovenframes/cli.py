@@ -19,6 +19,7 @@ from . import io as fio
 from .errors import InvalidParamsError, ToolError
 from .frames import Bounds, canonical_dual, frame_bounds, is_frame
 from .weaving import (
+    DEFAULT_CAP,
     FrameFamily,
     Partition,
     bessel_upper_bound,
@@ -83,10 +84,10 @@ def _parse_csv_floats(text: str, name: str) -> list[float]:
 
 @click.group()
 @click.option("--tol", type=float, default=1e-10, show_default=True, help="Duality / residual tolerance.")
-@click.option("--cap", type=int, default=4194304, show_default=True, help="Exhaustive enumeration cap on m^n.")
+@click.option("--cap", type=int, default=DEFAULT_CAP, show_default=True, help="Exhaustive enumeration cap on m^n.")
 @click.option("--seed", type=int, default=1, show_default=True, help="Seed for sampled mode.")
 @click.option("--samples", type=int, default=10000, show_default=True, help="Sample count for sampled mode.")
-@click.option("--threads", type=int, default=1, show_default=True, help="Worker threads for the partition scan.")
+@click.option("--threads", type=int, default=1, show_default=True, help="Worker threads for exhaustive scans.")
 @click.pass_context
 def main(ctx, tol, cap, seed, samples, threads):
     """Finite frame toolkit: weaving bounds, wovenness checks, duals, certificates."""
@@ -139,9 +140,7 @@ def weave_check(opts, file, mode):
         report = exhaustive_woven_check(family, cap=opts["cap"], threads=opts["threads"])
         inputs = {"file": str(file), "mode": mode, "cap": opts["cap"]}
     else:
-        report = sampled_woven_estimate(
-            family, samples=opts["samples"], seed=opts["seed"], threads=opts["threads"]
-        )
+        report = sampled_woven_estimate(family, samples=opts["samples"], seed=opts["seed"])
         inputs = {"file": str(file), "mode": mode, "samples": opts["samples"], "seed": opts["seed"]}
     _emit("weave check", inputs, fio.report_to_dict(report), positive=report.woven)
 
@@ -190,12 +189,10 @@ def weave_dual(opts, file, partition, alternate):
 @click.pass_obj
 @_tool_errors
 def weave_tight(opts, file, partition):
-    """Test one two-frame weaving for tightness."""
+    """Test one weaving for tightness."""
     family = fio.parse_frame_file(file)
-    if family.m != 2:
-        raise InvalidParamsError(f"tightness test needs exactly 2 frames, got {family.m}")
     p = _parse_partition(partition, family)
-    a = is_tight_weaving(family.frames[0], family.frames[1], p, tol=opts["tol"])
+    a = is_tight_weaving(family, p, tol=opts["tol"])
     result = {"tight": a is not None, "constant": a if a is None else float(a)}
     _emit("weave tight", {"file": str(file), "partition": list(p.assignment)}, result, positive=a is not None)
 

@@ -16,12 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .certify import Certificate
 from .errors import DimensionMismatchError, EmptyFamilyError, ParseError
 from .frames import Bounds, Frame
 from .weaving import FrameFamily, Partition, WeavingReport
-
-TOOL_VERSION = "0.1.0"
 
 
 def _load_json(path) -> dict:
@@ -148,6 +147,6 @@ def render_report(command: str, inputs: dict, result: dict) -> str:
         "command": command,
         "inputs": inputs,
         "result": result,
-        "tool_version": TOOL_VERSION,
+        "tool_version": __version__,
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -1,10 +1,12 @@
 """Partition machinery, weaving assembly and bounds, the exact wovenness
 oracle, and duals of weavings.
 
-A partition of the index set {0..n-1} over m frames is encoded as a base-m
-assignment word: ``assignment[j]`` names the frame contributing vector j.
-Exhaustive enumeration walks the words in integer (lexicographic) order, so
-witness selection is deterministic: the smallest word among minimizers wins.
+A partition of the index set {0..n-1} over m frames is an assignment row:
+``assignment[j]`` names the frame contributing vector j.  Both scans hand
+batches of assignment rows to one kernel.  Exhaustive enumeration walks the
+base-m words 0..m^n-1, whose big-endian digits are the assignments in
+lexicographic order, so witness selection is deterministic: the witness is
+the smallest assignment among the minimizers.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (
     NotAFrameError,
     ShapeMismatchError,
 )
-from .frames import Bounds, Frame, frame_bounds, frame_operator, synthesis
+from .frames import Bounds, Frame, canonical_dual, frame_bounds, frame_operator, synthesis
 from .linalg import jacobi_eigh_batch, null_space_basis, operator_norm, spd_inverse, zero_threshold
 
 DEFAULT_CAP = 2**22
@@ -192,37 +194,36 @@ def _rank_one_table(family: FrameFamily) -> np.ndarray:
     return np.einsum("ijd,ije->ijde", v, v)
 
 
-def _scan_words(outer: np.ndarray, words: np.ndarray, m: int, n: int):
-    """Extrema of the weaving spectra over the given assignment words.
+def _scan(outer: np.ndarray, digits: np.ndarray):
+    """Extrema of the weaving spectra over a (K, n) array of assignment rows.
 
-    Returns (min lambda_min, word attaining it, max lambda_max); ties on the
-    minimum resolve to the first (lowest) word in ``words``.
+    Returns (min lambda_min, smallest row attaining it, max lambda_max).
     """
-    powers = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    digits = (words[:, None] // powers[None, :]) % m
-    s = outer[digits, np.arange(n)].sum(axis=1)
+    s = outer[digits, np.arange(digits.shape[1])].sum(axis=1)
     w, _ = jacobi_eigh_batch(s)
-    lo = w[:, 0]
-    k = int(np.argmin(lo))
-    return float(lo[k]), int(words[k]), float(np.max(w[:, -1]))
+    lo = float(w[:, 0].min())
+    tied = digits[w[:, 0] == lo]
+    # np.lexsort sorts on its last key first, so column 0 goes last
+    best = tied[np.lexsort(tied.T[::-1])[0]]
+    return lo, tuple(best.tolist()), float(w[:, -1].max())
 
 
 def _reduce_scan(chunks):
-    best_lo, best_word, best_hi = np.inf, None, -np.inf
+    best_lo, best_row, best_hi = np.inf, None, -np.inf
     examined = 0
-    for lo, word, hi, count in chunks:
+    for lo, row, hi, count in chunks:
         if lo < best_lo:
-            best_lo, best_word = lo, word
+            best_lo, best_row = lo, row
         best_hi = max(best_hi, hi)
         examined += count
-    return best_lo, best_word, best_hi, examined
+    return best_lo, best_row, best_hi, examined
 
 
-def _make_report(family, best_lo, best_word, best_hi, examined, mode, seed=None):
+def _make_report(family, best_lo, best_row, best_hi, examined, mode, seed=None):
     lower = max(best_lo, 0.0)
     upper = max(best_hi, 0.0)
     woven = lower > zero_threshold(upper)
-    witness = Partition.from_word(best_word, family.m, family.size)
+    witness = Partition(best_row, family.m)
     return WeavingReport(woven, lower, upper, witness, examined, mode, seed)
 
 
@@ -242,13 +243,13 @@ def exhaustive_woven_check(
             f"m^n = {total} exceeds cap {cap}; use sampled mode for an estimate"
         )
     outer = _rank_one_table(family)
+    powers = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
     ranges = [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
 
     def run(rng):
         lo, hi = rng
         words = np.arange(lo, hi, dtype=np.int64)
-        wmin, word, wmax = _scan_words(outer, words, m, n)
-        return wmin, word, wmax, hi - lo
+        return (*_scan(outer, words[:, None] // powers % m), hi - lo)
 
     if threads > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -258,42 +259,32 @@ def exhaustive_woven_check(
     return _make_report(family, *_reduce_scan(results), "exhaustive")
 
 
-def sampled_woven_estimate(
-    family: FrameFamily, samples: int, seed: int, threads: int = 1
-) -> WeavingReport:
-    """Seeded random scan over assignment words (PCG64, 64-bit, reproducible).
+def sampled_woven_estimate(family: FrameFamily, samples: int, seed: int) -> WeavingReport:
+    """Seeded random scan over assignment rows (PCG64, 64-bit, reproducible).
 
     The result is an estimate: the reported lower bound can only overestimate
     the true universal lower bound, since sampling may miss bad partitions.
+    Rows are drawn in chunks; a tie on the minimum goes to the smallest row
+    of the first chunk that attains it.
     """
     if samples < 1:
         raise InvalidArgumentError("samples must be >= 1")
     m, n = family.m, family.size
     outer = _rank_one_table(family)
     rng = np.random.Generator(np.random.PCG64(seed))
-    powers = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
     results = []
     drawn = 0
     while drawn < samples:
         k = min(_CHUNK, samples - drawn)
         digits = rng.integers(0, m, size=(k, n), dtype=np.int64)
-        words = digits @ powers
-        # tie-break on the lowest word within the chunk as well
-        order = np.argsort(words, kind="stable")
-        wmin, word, wmax = _scan_words(outer, words[order], m, n)
-        results.append((wmin, word, wmax, k))
+        results.append((*_scan(outer, digits), k))
         drawn += k
     return _make_report(family, *_reduce_scan(results), "sampled", seed)
 
 
 def weaving_canonical_dual(family: FrameFamily, p: Partition) -> Frame:
     """The frame {S_W^{-1} w_j} for the weaving W of the given partition."""
-    w = weave(family, p)
-    bounds = frame_bounds(w)
-    if bounds.lower <= 0.0:
-        raise NotAFrameError("weaving is not a frame, canonical dual undefined")
-    s_inv = spd_inverse(frame_operator(w))
-    return Frame(w.vectors @ s_inv.T)
+    return canonical_dual(weave(family, p))
 
 
 def weaving_alternate_dual(
@@ -341,12 +332,11 @@ def weaving_alternate_dual(
     return Frame(dual.T)
 
 
-def is_tight_weaving(f: Frame, g: Frame, p: Partition, tol: float = 1e-10):
+def is_tight_weaving(family: FrameFamily, p: Partition, tol: float = 1e-10):
     """The tightness constant A when S_W = A I within tol, else None.
 
     A is the least-squares scalar fit trace(S_W)/d before the residual test.
     """
-    family = FrameFamily([f, g])
     s_w = weaving_operator(family, p)
     a = float(np.trace(s_w)) / family.dim
     if operator_norm(s_w - a * np.eye(family.dim)) <= tol:

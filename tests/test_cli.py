@@ -142,10 +142,18 @@ class TestWeaveCheck:
         outs = {runner.invoke(main, args).output for _ in range(3)}
         assert len(outs) == 1
 
-    def test_thread_count_invariant_output(self, runner, pair_file):
-        one = runner.invoke(main, ["--threads", "1", "weave", "check", pair_file])
-        two = runner.invoke(main, ["--threads", "2", "weave", "check", pair_file])
-        assert one.output == two.output
+    def test_thread_count_invariant_output(self, runner, pair_file, tmp_path):
+        rng = np.random.default_rng(37)
+        # 2^15 words: two scan chunks
+        two_chunks = write_family(
+            tmp_path / "two_chunks.json",
+            FrameFamily([Frame(rng.normal(size=(15, 2))) for _ in range(2)]),
+        )
+        for path, words in ((pair_file, 8), (two_chunks, 2**15)):
+            one = runner.invoke(main, ["--threads", "1", "weave", "check", path])
+            two = runner.invoke(main, ["--threads", "2", "weave", "check", path])
+            assert json.loads(one.output)["result"]["partitions_examined"] == words
+            assert one.output == two.output
 
     def test_sampled_seed_invariance(self, runner, pair_file):
         a = runner.invoke(main, ["--seed", "7", "weave", "check", pair_file, "--mode", "sample"])
@@ -217,6 +225,13 @@ class TestWeaveTight:
         doc = json.loads(res.output)
         assert doc["result"]["tight"] is True
         assert doc["result"]["constant"] == pytest.approx(1.0)
+
+    def test_three_frames(self, runner, tmp_path):
+        fam = FrameFamily([Frame(s * np.eye(2)) for s in (1.0, 2.0, 3.0)])
+        path = write_family(tmp_path / "triple.json", fam)
+        res = runner.invoke(main, ["weave", "tight", path, "--partition", "2,2"])
+        assert res.exit_code == 0
+        assert json.loads(res.output)["result"]["constant"] == pytest.approx(9.0)
 
     def test_not_tight(self, runner, pair_file):
         res = runner.invoke(main, ["weave", "tight", pair_file, "--partition", "0,0,1"])

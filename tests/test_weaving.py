@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from support import brute_force_woven, counterexample_family, example_pair
+from support import brute_force_woven, counterexample_family, example_pair, random_woven_family
 from wovenframes import (
     Frame,
     FrameFamily,
@@ -219,10 +221,13 @@ class TestExhaustiveCheck:
 
     def test_thread_count_invariance(self):
         rng = np.random.default_rng(37)
-        fam = FrameFamily([Frame(rng.normal(size=(6, 3))) for _ in range(2)])
-        reports = [exhaustive_woven_check(fam, threads=t) for t in (1, 2, 4)]
-        for rep in reports[1:]:
-            assert rep == reports[0]
+        one_chunk = FrameFamily([Frame(rng.normal(size=(6, 3))) for _ in range(2)])
+        # 2^15 words: two scan chunks, so the pool really splits the work
+        two_chunks = FrameFamily([Frame(rng.normal(size=(15, 2))) for _ in range(2)])
+        for fam in (one_chunk, two_chunks):
+            reports = [exhaustive_woven_check(fam, threads=t) for t in (1, 2, 4)]
+            for rep in reports[1:]:
+                assert rep == reports[0]
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(41)
@@ -269,6 +274,28 @@ class TestSampledEstimate:
             est = sampled_woven_estimate(fam, samples=10, seed=7)
             assert est.universal_lower >= exact.universal_lower - 1e-12
             assert est.universal_upper <= exact.universal_upper + 1e-12
+
+    @pytest.mark.parametrize("m, n", [(2, 70), (3, 45)])
+    def test_witness_attains_bound_when_words_overflow_int64(self, m, n):
+        # m^n >= 2^63: no base-m word of these assignments fits in an int64
+        rng = np.random.default_rng(n)
+        base = rng.normal(size=(n, 4))
+        fam = FrameFamily([Frame(base + 0.3 * rng.normal(size=(n, 4))) for _ in range(m)])
+        rep = sampled_woven_estimate(fam, samples=2000, seed=1)
+        own = weaving_bounds(fam, rep.witness_partition)
+        assert own.lower == pytest.approx(rep.universal_lower, rel=1e-10)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.integers(1, 3), st.integers(0, 3))
+def test_scan_reports_are_consistent(seed, m, d, extra):
+    rng = np.random.default_rng(seed)
+    fam, exact = random_woven_family(rng, m, d + extra, d)
+    est = sampled_woven_estimate(fam, samples=20, seed=seed)
+    assert est.universal_lower >= exact.universal_lower - 1e-12
+    for rep in (exact, est):
+        own = weaving_bounds(fam, rep.witness_partition)
+        assert own.lower == pytest.approx(rep.universal_lower, rel=1e-10)
 
 
 class TestWeavingDuals:
@@ -339,17 +366,17 @@ class TestWeavingDuals:
 class TestTightWeaving:
     def test_parseval_copies(self):
         fr = Frame(np.eye(2))
-        a = is_tight_weaving(fr, fr, Partition((0, 1), 2))
+        a = is_tight_weaving(FrameFamily([fr, fr]), Partition((0, 1), 2))
         assert a == pytest.approx(1.0, abs=1e-12)
 
     def test_example_not_tight(self):
         f, g = example_pair()
-        assert is_tight_weaving(f, g, Partition((0, 0, 1), 2)) is None
+        assert is_tight_weaving(FrameFamily([f, g]), Partition((0, 0, 1), 2)) is None
 
     def test_scaled_basis(self):
         f = Frame(0.5 * np.eye(2))
         g = Frame(2.0 * np.eye(2))
-        a = is_tight_weaving(f, g, Partition((0, 0), 2))
+        a = is_tight_weaving(FrameFamily([f, g]), Partition((0, 0), 2))
         assert a == pytest.approx(0.25, abs=1e-12)
 
 
