@@ -1,11 +1,9 @@
 """Dense real kernels for small matrices.
 
-Symmetric eigenproblems are solved by cyclic Jacobi rotations.  That choice is
-deliberate: the matrices in this toolkit are tiny (d <= 8 or so), the solver is
-fully deterministic for identical input, and the rotation loop vectorizes over
-a whole batch of matrices at once, which is what the exhaustive partition scan
-needs.  Singular values, null spaces and left pseudo-inverses are all derived
-from the symmetric solver via M^T M.
+The single-matrix helpers solve symmetric eigenproblems by cyclic Jacobi
+rotations; singular values, null spaces and left pseudo-inverses are all
+derived from that solver via M^T M.  The wovenness scans do not use it: they
+solve their stacks of frame operators with LAPACK through np.linalg.eigvalsh.
 """
 
 from __future__ import annotations

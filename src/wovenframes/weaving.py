@@ -25,10 +25,12 @@ from .errors import (
     ShapeMismatchError,
 )
 from .frames import Bounds, Frame, canonical_dual, frame_bounds, frame_operator, synthesis
-from .linalg import jacobi_eigh_batch, null_space_basis, operator_norm, spd_inverse, zero_threshold
+from .linalg import null_space_basis, operator_norm, spd_inverse, zero_threshold
 
 DEFAULT_CAP = 2**22
-_CHUNK = 16384
+# Bytes of the (K, n, d, d) float64 gather one scan chunk may hold, per worker.
+CHUNK_BUDGET = 128 * 2**20
+_MAX_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -194,13 +196,19 @@ def _rank_one_table(family: FrameFamily) -> np.ndarray:
     return np.einsum("ijd,ije->ijde", v, v)
 
 
+def _chunk_rows(family: FrameFamily) -> int:
+    """Assignment rows per scan chunk, so that its gather fits CHUNK_BUDGET."""
+    row_bytes = family.size * family.dim**2 * 8
+    return min(_MAX_CHUNK, max(1, CHUNK_BUDGET // row_bytes))
+
+
 def _scan(outer: np.ndarray, digits: np.ndarray):
     """Extrema of the weaving spectra over a (K, n) array of assignment rows.
 
     Returns (min lambda_min, smallest row attaining it, max lambda_max).
     """
     s = outer[digits, np.arange(digits.shape[1])].sum(axis=1)
-    w, _ = jacobi_eigh_batch(s)
+    w = np.linalg.eigvalsh(s)
     lo = float(w[:, 0].min())
     tied = digits[w[:, 0] == lo]
     # np.lexsort sorts on its last key first, so column 0 goes last
@@ -232,9 +240,10 @@ def exhaustive_woven_check(
 ) -> WeavingReport:
     """Decide wovenness exactly by enumerating all m^n assignment words.
 
-    The word range is split into fixed chunks; chunks may be evaluated on a
-    thread pool, and the min/max reduction runs in chunk order, so the report
-    is identical for any thread count.
+    The word range is split into chunks whose gathered operators fit
+    CHUNK_BUDGET; chunks may be evaluated on a thread pool, and the min/max
+    reduction runs in chunk order, so the report is identical for any thread
+    count.
     """
     m, n = family.m, family.size
     total = m**n
@@ -244,7 +253,8 @@ def exhaustive_woven_check(
         )
     outer = _rank_one_table(family)
     powers = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    ranges = [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
+    rows = _chunk_rows(family)
+    ranges = [(lo, min(lo + rows, total)) for lo in range(0, total, rows)]
 
     def run(rng):
         lo, hi = rng
@@ -272,10 +282,11 @@ def sampled_woven_estimate(family: FrameFamily, samples: int, seed: int) -> Weav
     m, n = family.m, family.size
     outer = _rank_one_table(family)
     rng = np.random.Generator(np.random.PCG64(seed))
+    rows = _chunk_rows(family)
     results = []
     drawn = 0
     while drawn < samples:
-        k = min(_CHUNK, samples - drawn)
+        k = min(rows, samples - drawn)
         digits = rng.integers(0, m, size=(k, n), dtype=np.int64)
         results.append((*_scan(outer, digits), k))
         drawn += k

@@ -2,9 +2,10 @@
 generators.
 
 The brute-force oracle here deliberately avoids the package's own linear
-algebra: weavings are assembled by direct indexing and their spectra come
-from numpy's LAPACK wrapper, so it cross-checks the Jacobi-based scan rather
-than mirroring it.
+algebra: weavings are assembled by direct indexing and their spectra are the
+squared singular values of each weaving's synthesis matrix (LAPACK gesdd), so
+it cross-checks the scan's eigenvalues of stacked frame operators (LAPACK
+syevd) rather than mirroring them.
 """
 
 from __future__ import annotations
@@ -26,10 +27,12 @@ def brute_force_woven(vector_stacks):
     lo, hi, witness = np.inf, -np.inf, None
     for assign in itertools.product(range(m), repeat=n):
         w = np.array([vector_stacks[i][j] for j, i in enumerate(assign)])
-        eigs = np.linalg.eigvalsh(w.T @ w)
-        if eigs[0] < lo:
-            lo, witness = eigs[0], assign
-        hi = max(hi, eigs[-1])
+        sv = np.linalg.svd(w, compute_uv=False)
+        # n < d vectors cannot span R^d: lambda_min is exactly 0
+        low = sv[-1] ** 2 if w.shape[0] >= w.shape[1] else 0.0
+        if low < lo:
+            lo, witness = low, assign
+        hi = max(hi, sv[0] ** 2)
     return float(lo), float(hi), witness
 
 

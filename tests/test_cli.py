@@ -149,7 +149,10 @@ class TestWeaveCheck:
             tmp_path / "two_chunks.json",
             FrameFamily([Frame(rng.normal(size=(15, 2))) for _ in range(2)]),
         )
-        for path, words in ((pair_file, 8), (two_chunks, 2**15)):
+        # identical frames at d=8: all 2^15 weavings tie exactly on lambda_min
+        fr = Frame(rng.normal(size=(15, 8)))
+        all_tied = write_family(tmp_path / "all_tied.json", FrameFamily([fr, fr]))
+        for path, words in ((pair_file, 8), (two_chunks, 2**15), (all_tied, 2**15)):
             one = runner.invoke(main, ["--threads", "1", "weave", "check", path])
             two = runner.invoke(main, ["--threads", "2", "weave", "check", path])
             assert json.loads(one.output)["result"]["partitions_examined"] == words

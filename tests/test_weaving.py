@@ -30,6 +30,7 @@ from wovenframes.errors import (
     NotAFrameError,
     ShapeMismatchError,
 )
+from wovenframes import weaving
 from wovenframes.weaving import CoefficientVector, weaving_analyze
 
 
@@ -228,6 +229,38 @@ class TestExhaustiveCheck:
             reports = [exhaustive_woven_check(fam, threads=t) for t in (1, 2, 4)]
             for rep in reports[1:]:
                 assert rep == reports[0]
+
+    def test_chunks_fit_the_gather_budget(self, monkeypatch):
+        # n * d^2 * 8 B = 150 KiB per row: 873 rows per chunk, so the 4,096
+        # words split into 5 chunks and 2,000 samples into 3
+        rng = np.random.default_rng(47)
+        fam = FrameFamily([Frame(rng.normal(size=(12, 40))) for _ in range(2)])
+        gathered = []
+        scan = weaving._scan
+
+        def recording_scan(outer, digits):
+            gathered.append(digits.size * outer[0, 0].size * 8)
+            return scan(outer, digits)
+
+        monkeypatch.setattr(weaving, "_scan", recording_scan)
+        reports = [exhaustive_woven_check(fam, threads=t) for t in (1, 2)]
+        sampled_woven_estimate(fam, samples=2000, seed=1)
+        assert reports[1] == reports[0]
+        assert len(gathered) == 2 * 5 + 3
+        assert max(gathered) <= weaving.CHUNK_BUDGET
+        lo, hi, _ = brute_force_woven([fr.vectors for fr in fam.frames])
+        assert not reports[0].woven
+        assert reports[0].universal_lower == pytest.approx(lo, abs=1e-10)
+        assert reports[0].universal_upper == pytest.approx(hi, rel=1e-12)
+
+    def test_exact_ties_pick_the_all_zeros_witness(self):
+        # identical frames: every weaving has bit-for-bit the same operator,
+        # and the 2^15 words at d=8 fill two chunks
+        fr = Frame(np.random.default_rng(53).normal(size=(15, 8)))
+        fam = FrameFamily([fr, fr])
+        for t in (1, 2):
+            rep = exhaustive_woven_check(fam, threads=t)
+            assert rep.witness_partition.assignment == (0,) * 15
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(41)
