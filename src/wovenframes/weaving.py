@@ -3,14 +3,17 @@ oracle, and duals of weavings.
 
 A partition of the index set {0..n-1} over m frames is an assignment row:
 ``assignment[j]`` names the frame contributing vector j.  Both scans hand
-batches of assignment rows to one kernel.  Exhaustive enumeration walks the
-base-m words 0..m^n-1, whose big-endian digits are the assignments in
-lexicographic order, so witness selection is deterministic: the witness is
-the smallest assignment among the minimizers.
+stacks of weaving frame operators to one eigen kernel.  The exhaustive scan
+splits the assignments by a fixed prefix and builds each chunk's operators by
+expanding the prefix sum one index at a time, which yields the completions
+in lexicographic order; the sampled scan sums its drawn rows column by
+column.  Either way each operator is summed left to right over j, and the
+witness is the smallest assignment among the minimizers.
 """
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -28,8 +31,8 @@ from .frames import Bounds, Frame, canonical_dual, frame_bounds, frame_operator,
 from .linalg import null_space_basis, operator_norm, spd_inverse, zero_threshold
 
 DEFAULT_CAP = 2**22
-# Bytes of the (K, n, d, d) float64 gather one scan chunk may hold, per worker.
-CHUNK_BUDGET = 128 * 2**20
+# Bytes of the (K, d, d) float64 operator stack one scan chunk holds, per worker.
+CHUNK_BUDGET = 16 * 2**20
 _MAX_CHUNK = 16384
 
 
@@ -197,23 +200,44 @@ def _rank_one_table(family: FrameFamily) -> np.ndarray:
 
 
 def _chunk_rows(family: FrameFamily) -> int:
-    """Assignment rows per scan chunk, so that its gather fits CHUNK_BUDGET."""
-    row_bytes = family.size * family.dim**2 * 8
-    return min(_MAX_CHUNK, max(1, CHUNK_BUDGET // row_bytes))
+    """Operators per scan chunk, so that its (K, d, d) stack fits CHUNK_BUDGET."""
+    return min(_MAX_CHUNK, max(1, CHUNK_BUDGET // (family.dim**2 * 8)))
 
 
-def _scan(outer: np.ndarray, digits: np.ndarray):
-    """Extrema of the weaving spectra over a (K, n) array of assignment rows.
+def _completions(outer: np.ndarray, prefix: tuple[int, ...]) -> np.ndarray:
+    """Frame operators of every completion of an assignment prefix.
 
-    Returns (min lambda_min, smallest row attaining it, max lambda_max).
+    ``outer`` is the (m, n, d, d) rank-one table.  The prefix's terms are
+    summed left to right, then each free index expands every operator into
+    its m successors, so the m^(n - len(prefix)) operators come out in
+    lexicographic order of their assignments.
     """
-    s = outer[digits, np.arange(digits.shape[1])].sum(axis=1)
+    m, n, d, _ = outer.shape
+    k = len(prefix)
+    s = outer[prefix[0], 0][None] if k else outer[:, 0]
+    for j in range(1, k):
+        s = s + outer[prefix[j], j]
+    for j in range(max(k, 1), n):
+        s = (s[:, None] + outer[None, :, j]).reshape(-1, d, d)
+    return s
+
+
+def _row_operators(outer: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """Frame operators of a (K, n) array of assignment rows, summed column by column."""
+    s = outer[digits[:, 0], 0]
+    for j in range(1, digits.shape[1]):
+        s += outer[digits[:, j], j]
+    return s
+
+
+def _scan(s: np.ndarray):
+    """Extrema of the spectra of a (K, d, d) stack of frame operators.
+
+    Returns (min lambda_min, indices attaining it, max lambda_max).
+    """
     w = np.linalg.eigvalsh(s)
     lo = float(w[:, 0].min())
-    tied = digits[w[:, 0] == lo]
-    # np.lexsort sorts on its last key first, so column 0 goes last
-    best = tied[np.lexsort(tied.T[::-1])[0]]
-    return lo, tuple(best.tolist()), float(w[:, -1].max())
+    return lo, np.flatnonzero(w[:, 0] == lo), float(w[:, -1].max())
 
 
 def _reduce_scan(chunks):
@@ -238,13 +262,15 @@ def _make_report(family, best_lo, best_row, best_hi, examined, mode, seed=None):
 def exhaustive_woven_check(
     family: FrameFamily, cap: int = DEFAULT_CAP, threads: int = 1
 ) -> WeavingReport:
-    """Decide wovenness exactly by enumerating all m^n assignment words.
+    """Decide wovenness exactly by scanning all m^n assignments.
 
-    The word range is split into chunks whose gathered operators fit
-    CHUNK_BUDGET; chunks may be evaluated on a thread pool, and the min/max
-    reduction runs in chunk order, so the report is identical for any thread
-    count.
+    Each chunk is every completion of one fixed prefix, with as many free
+    indices as fit a (K, d, d) operator stack within CHUNK_BUDGET.  Chunks
+    may be evaluated on a thread pool, and the min/max reduction runs in
+    chunk order, so the report is identical for any thread count.
     """
+    if threads < 1:
+        raise InvalidArgumentError("threads must be >= 1")
     m, n = family.m, family.size
     total = m**n
     if total > cap:
@@ -252,20 +278,22 @@ def exhaustive_woven_check(
             f"m^n = {total} exceeds cap {cap}; use sampled mode for an estimate"
         )
     outer = _rank_one_table(family)
-    powers = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
     rows = _chunk_rows(family)
-    ranges = [(lo, min(lo + rows, total)) for lo in range(0, total, rows)]
+    depth = 0
+    while depth < n and m ** (depth + 1) <= rows:
+        depth += 1
+    prefixes = list(itertools.product(range(m), repeat=n - depth))
 
-    def run(rng):
-        lo, hi = rng
-        words = np.arange(lo, hi, dtype=np.int64)
-        return (*_scan(outer, words[:, None] // powers % m), hi - lo)
+    def run(prefix):
+        lo, tied, hi = _scan(_completions(outer, prefix))
+        suffix = np.unravel_index(tied[0], (m,) * depth)
+        return lo, prefix + tuple(map(int, suffix)), hi, m**depth
 
-    if threads > 1 and len(ranges) > 1:
+    if threads > 1 and len(prefixes) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, ranges))
+            results = list(pool.map(run, prefixes))
     else:
-        results = [run(r) for r in ranges]
+        results = [run(p) for p in prefixes]
     return _make_report(family, *_reduce_scan(results), "exhaustive")
 
 
@@ -288,7 +316,11 @@ def sampled_woven_estimate(family: FrameFamily, samples: int, seed: int) -> Weav
     while drawn < samples:
         k = min(rows, samples - drawn)
         digits = rng.integers(0, m, size=(k, n), dtype=np.int64)
-        results.append((*_scan(outer, digits), k))
+        lo, tied, hi = _scan(_row_operators(outer, digits))
+        tied = digits[tied]
+        # np.lexsort sorts on its last key first, so column 0 goes last
+        best = tied[np.lexsort(tied.T[::-1])[0]]
+        results.append((lo, tuple(best.tolist()), hi, k))
         drawn += k
     return _make_report(family, *_reduce_scan(results), "sampled", seed)
 

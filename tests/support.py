@@ -36,6 +36,12 @@ def brute_force_woven(vector_stacks):
     return float(lo), float(hi), witness
 
 
+def gather_operators(outer, digits):
+    """Per-row reference for the scans' operator stacks: gathers the (K, n, d, d)
+    rank-one terms of each assignment row and sums them over j."""
+    return outer[digits, np.arange(digits.shape[1])].sum(axis=1)
+
+
 def clamped_shift_frame(dim, offsets, scale=1.0, count=None):
     """Vectors u_j = sum_o e_{j+o}, truncated to the first ``dim`` coordinates."""
     n = count or dim

@@ -158,6 +158,14 @@ class TestWeaveCheck:
             assert json.loads(one.output)["result"]["partitions_examined"] == words
             assert one.output == two.output
 
+    def test_fewer_than_one_thread_exit_two(self, runner, pair_file):
+        for threads in ("0", "-5"):
+            res = runner.invoke(main, ["--threads", threads, "weave", "check", pair_file])
+            assert res.exit_code == 2
+            assert res.stdout == ""
+            assert len(res.stderr.splitlines()) == 1
+            assert json.loads(res.stderr)["error"] == "invalid-argument"
+
     def test_sampled_seed_invariance(self, runner, pair_file):
         a = runner.invoke(main, ["--seed", "7", "weave", "check", pair_file, "--mode", "sample"])
         b = runner.invoke(main, ["--seed", "7", "weave", "check", pair_file, "--mode", "sample"])

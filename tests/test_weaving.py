@@ -1,9 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import brute_force_woven, counterexample_family, example_pair, random_woven_family
+from support import (
+    brute_force_woven,
+    counterexample_family,
+    example_pair,
+    gather_operators,
+    random_woven_family,
+)
 from wovenframes import (
     Frame,
     FrameFamily,
@@ -225,42 +233,65 @@ class TestExhaustiveCheck:
         one_chunk = FrameFamily([Frame(rng.normal(size=(6, 3))) for _ in range(2)])
         # 2^15 words: two scan chunks, so the pool really splits the work
         two_chunks = FrameFamily([Frame(rng.normal(size=(15, 2))) for _ in range(2)])
-        for fam in (one_chunk, two_chunks):
+        # 3^9 words: three chunks of 3^8 = 6,561 operators, not a power of two
+        three_chunks = FrameFamily([Frame(rng.normal(size=(9, 3))) for _ in range(3)])
+        for fam in (one_chunk, two_chunks, three_chunks):
             reports = [exhaustive_woven_check(fam, threads=t) for t in (1, 2, 4)]
             for rep in reports[1:]:
                 assert rep == reports[0]
 
     def test_chunks_fit_the_gather_budget(self, monkeypatch):
-        # n * d^2 * 8 B = 150 KiB per row: 873 rows per chunk, so the 4,096
-        # words split into 5 chunks and 2,000 samples into 3
+        # d^2 * 8 B = 12,800 B per operator: 1,310 operators per chunk, so the
+        # 4,096 words split into 4 chunks of 2^10 and 2,000 samples into 2
         rng = np.random.default_rng(47)
         fam = FrameFamily([Frame(rng.normal(size=(12, 40))) for _ in range(2)])
-        gathered = []
+        stacks = []
         scan = weaving._scan
 
-        def recording_scan(outer, digits):
-            gathered.append(digits.size * outer[0, 0].size * 8)
-            return scan(outer, digits)
+        def recording_scan(s):
+            stacks.append(s.nbytes)
+            return scan(s)
 
         monkeypatch.setattr(weaving, "_scan", recording_scan)
         reports = [exhaustive_woven_check(fam, threads=t) for t in (1, 2)]
+        assert stacks[:4] == [1024 * 40 * 40 * 8] * 4
         sampled_woven_estimate(fam, samples=2000, seed=1)
         assert reports[1] == reports[0]
-        assert len(gathered) == 2 * 5 + 3
-        assert max(gathered) <= weaving.CHUNK_BUDGET
+        assert len(stacks) == 2 * 4 + 2
+        assert max(stacks) <= weaving.CHUNK_BUDGET
         lo, hi, _ = brute_force_woven([fr.vectors for fr in fam.frames])
         assert not reports[0].woven
         assert reports[0].universal_lower == pytest.approx(lo, abs=1e-10)
         assert reports[0].universal_upper == pytest.approx(hi, rel=1e-12)
 
+    @pytest.mark.parametrize("m, n, d, depth", [(2, 7, 2, 3), (2, 5, 3, 5), (3, 5, 2, 2),
+                                                (3, 4, 3, 4), (4, 4, 2, 1), (4, 3, 3, 3)])
+    def test_completions_match_the_per_row_gather(self, m, n, d, depth):
+        rng = np.random.default_rng(59)
+        fam = FrameFamily([Frame(rng.normal(size=(n, d))) for _ in range(m)])
+        outer = weaving._rank_one_table(fam)
+        prefix = tuple(int(x) for x in rng.integers(0, m, size=n - depth))
+        digits = np.array([prefix + s for s in itertools.product(range(m), repeat=depth)])
+        assert np.array_equal(weaving._completions(outer, prefix), gather_operators(outer, digits))
+
+    def test_row_operators_match_the_per_row_gather(self):
+        rng = np.random.default_rng(61)
+        for m, n, d in ((2, 9, 3), (3, 6, 2), (4, 5, 4)):
+            fam = FrameFamily([Frame(rng.normal(size=(n, d))) for _ in range(m)])
+            outer = weaving._rank_one_table(fam)
+            digits = rng.integers(0, m, size=(200, n))
+            assert np.array_equal(weaving._row_operators(outer, digits), gather_operators(outer, digits))
+
     def test_exact_ties_pick_the_all_zeros_witness(self):
-        # identical frames: every weaving has bit-for-bit the same operator,
-        # and the 2^15 words at d=8 fill two chunks
-        fr = Frame(np.random.default_rng(53).normal(size=(15, 8)))
-        fam = FrameFamily([fr, fr])
-        for t in (1, 2):
-            rep = exhaustive_woven_check(fam, threads=t)
-            assert rep.witness_partition.assignment == (0,) * 15
+        # identical frames: every weaving has bit-for-bit the same operator;
+        # the 2^15 words at d=8 fill two chunks, the 3^9 words three
+        rng = np.random.default_rng(53)
+        for m, n in ((2, 15), (3, 9)):
+            fr = Frame(rng.normal(size=(n, 8)))
+            fam = FrameFamily([fr] * m)
+            for t in (1, 2):
+                rep = exhaustive_woven_check(fam, threads=t)
+                assert rep.witness_partition.assignment == (0,) * n
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(41)
