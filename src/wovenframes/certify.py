@@ -25,6 +25,7 @@ from .errors import (
 )
 from .frames import Bounds, Frame, frame_bounds, frame_operator, is_dual_pair, synthesis
 from .linalg import (
+    DEFAULT_TOL,
     left_pseudo_inverse,
     operator_norm,
     singular_values,
@@ -33,8 +34,6 @@ from .linalg import (
     zero_threshold,
 )
 from .weaving import DEFAULT_CAP, FrameFamily, bessel_upper_bound, exhaustive_woven_check
-
-PSD_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -144,7 +143,7 @@ def verify_operator_characterization(
     )
 
 
-def certify_commuting_dual_pair(f: Frame, g: Frame, tol: float = 1e-10) -> Certificate:
+def certify_commuting_dual_pair(f: Frame, g: Frame, tol: float = DEFAULT_TOL) -> Certificate:
     """A dual pair whose truncations commute is woven.
 
     The all-sigma condition T_F^s (T_G^s)^* = T_G^s (T_F^s)^* reduces exactly
@@ -233,7 +232,7 @@ def certify_synthesis_gap(family: FrameFamily, k: int) -> Certificate:
     return Certificate("synthesis-gap", True, margins, float(lower), float(upper))
 
 
-def certify_positivity(family: FrameFamily, k: int, rtol: float = PSD_RTOL) -> Certificate:
+def certify_positivity(family: FrameFamily, k: int) -> Certificate:
     """Woven when every f_ij f_ij^T - f_kj f_kj^T is PSD (i != k).
 
     The per-index form is exactly the all-sigma operator positivity of the
@@ -256,7 +255,7 @@ def certify_positivity(family: FrameFamily, k: int, rtol: float = PSD_RTOL) -> C
             scale = max(scale, abs(lam_max))
     worst = 0.0 if m == 1 else worst
     margins = {"min_difference_eigenvalue": float(worst)}
-    if worst < -rtol * (1.0 + scale):
+    if worst < -zero_threshold(scale):
         return Certificate("positivity", False, margins)
     a_k = bounds[k].lower
     upper = float(sum(b.upper for b in bounds))
@@ -284,7 +283,7 @@ def lm_perturbation_min_mu(f_k: Frame, f_i: Frame, lam: float) -> float:
 
 
 def certify_lm_perturbation(
-    family: FrameFamily, k: int, params: list[PerturbParams], rtol: float = PSD_RTOL
+    family: FrameFamily, k: int, params: list[PerturbParams]
 ) -> Certificate:
     """Woven when each F_i is a (lambda_i, mu_i)-perturbation of F_k and the
     aggregate feasibility sum(lambda) < 1, A_k > sum(mu)/(1 - sum(lambda)) holds.
@@ -308,7 +307,7 @@ def certify_lm_perturbation(
         diff = frame_operator(Frame(family.frames[k].vectors - family.frames[i].vectors))
         test = pr.lam * s_k + pr.mu * eye - diff
         lam_min, lam_max = sym_eig_bounds(test)
-        if lam_min < -rtol * (1.0 + abs(lam_max)):
+        if lam_min < -zero_threshold(lam_max):
             raise InvalidParamsError(
                 f"(lambda, mu) = ({pr.lam}, {pr.mu}) fails the perturbation "
                 f"definition for frame {i} (min eigenvalue {lam_min:.3e})"

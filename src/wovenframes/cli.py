@@ -16,8 +16,9 @@ import click
 
 from . import certify as ct
 from . import io as fio
-from .errors import InvalidParamsError, ToolError
-from .frames import Bounds, canonical_dual, frame_bounds, is_frame
+from .errors import InvalidArgumentError, InvalidParamsError, ToolError
+from .frames import Bounds, frame_bounds, is_frame
+from .linalg import DEFAULT_TOL
 from .weaving import (
     DEFAULT_CAP,
     FrameFamily,
@@ -83,14 +84,20 @@ def _parse_csv_floats(text: str, name: str) -> list[float]:
 
 
 @click.group()
-@click.option("--tol", type=float, default=1e-10, show_default=True, help="Duality / residual tolerance.")
+@click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True, help="Duality / residual tolerance.")
 @click.option("--cap", type=int, default=DEFAULT_CAP, show_default=True, help="Exhaustive enumeration cap on m^n.")
 @click.option("--seed", type=int, default=1, show_default=True, help="Seed for sampled mode.")
 @click.option("--samples", type=int, default=10000, show_default=True, help="Sample count for sampled mode.")
 @click.option("--threads", type=int, default=1, show_default=True, help="Worker threads for exhaustive scans.")
 @click.pass_context
+@_tool_errors
 def main(ctx, tol, cap, seed, samples, threads):
     """Finite frame toolkit: weaving bounds, wovenness checks, duals, certificates."""
+    if not 0.0 <= tol < float("inf"):
+        raise InvalidArgumentError(f"tol must be finite and >= 0, got {tol}")
+    for name, value, least in (("threads", threads, 1), ("samples", samples, 1), ("seed", seed, 0)):
+        if value < least:
+            raise InvalidArgumentError(f"{name} must be >= {least}")
     ctx.obj = {"tol": tol, "cap": cap, "seed": seed, "samples": samples, "threads": threads}
 
 
@@ -197,12 +204,16 @@ def weave_tight(opts, file, partition):
     _emit("weave tight", {"file": str(file), "partition": list(p.assignment)}, result, positive=a is not None)
 
 
+def _parse_universal(text: str) -> Bounds:
+    vals = _parse_csv_floats(text, "universal")
+    if len(vals) != 2:
+        raise InvalidParamsError("--universal needs exactly two values A,B")
+    return Bounds(vals[0], vals[1])
+
+
 def _resolve_universal(opts, family: FrameFamily, universal: str | None) -> Bounds:
     if universal is not None:
-        vals = _parse_csv_floats(universal, "universal")
-        if len(vals) != 2:
-            raise InvalidParamsError("--universal needs exactly two values A,B")
-        return Bounds(vals[0], vals[1])
+        return _parse_universal(universal)
     report = exhaustive_woven_check(family, cap=opts["cap"], threads=opts["threads"])
     if not report.woven:
         raise InvalidParamsError(
@@ -242,7 +253,7 @@ def certify_cmd(opts, method, file, k, lambdas, mus, ops, universal, perturbed):
     elif method == "op-characterization":
         if universal is None:
             raise InvalidParamsError("op-characterization needs --universal A,B (A is tested)")
-        a = _parse_csv_floats(universal, "universal")[0]
+        a = _parse_universal(universal).lower
         inputs["lower_bound"] = a
         cert = ct.verify_operator_characterization(
             family, a, cap=opts["cap"], threads=opts["threads"]

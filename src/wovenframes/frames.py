@@ -13,9 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NotAFrameError, ShapeMismatchError
-from .linalg import spd_inverse, sym_eig_bounds, zero_threshold
-
-DEFAULT_DUAL_TOL = 1e-10
+from .linalg import DEFAULT_TOL, spd_inverse, sym_eig_bounds, zero_threshold
 
 
 @dataclass(frozen=True)
@@ -97,7 +95,7 @@ def canonical_dual(frame: Frame) -> Frame:
     return Frame(frame.vectors @ s_inv.T, label=frame.label)
 
 
-def is_dual_pair(f: Frame, g: Frame, tol: float = DEFAULT_DUAL_TOL):
+def is_dual_pair(f: Frame, g: Frame, tol: float = DEFAULT_TOL):
     """True iff T_F T_G^T = I within tol.  Returns (verdict, witness matrix)."""
     if (f.dim, f.size) != (g.dim, g.size):
         raise ShapeMismatchError(

@@ -53,9 +53,9 @@ def _as_float_rows(raw, where: str) -> list[list[float]]:
 
 def parse_frame_file(path) -> FrameFamily:
     doc = _load_json(path)
-    if "dim" not in doc or not isinstance(doc["dim"], int) or doc["dim"] < 1:
+    dim = doc.get("dim")
+    if type(dim) is not int or dim < 1:  # exact type: bool subclasses int
         raise ParseError(f"{path}: field 'dim' must be a positive integer")
-    dim = doc["dim"]
     raw_frames = doc.get("frames")
     if not isinstance(raw_frames, list):
         raise ParseError(f"{path}: field 'frames' must be an array")

@@ -4,6 +4,9 @@ The single-matrix helpers solve symmetric eigenproblems by cyclic Jacobi
 rotations; singular values, null spaces and left pseudo-inverses are all
 derived from that solver via M^T M.  The wovenness scans do not use it: they
 solve their stacks of frame operators with LAPACK through np.linalg.eigvalsh.
+The package's numeric defaults are defined here and nowhere else: ``ZERO_RTOL``,
+the relative cut at or below which ``zero_threshold`` counts a value as zero,
+and ``DEFAULT_TOL``, the tolerance of identity tests such as T_F T_G^T = I.
 """
 
 from __future__ import annotations
@@ -16,9 +19,8 @@ from .errors import (
     SingularMatrixError,
 )
 
-# Relative cutoff separating exact-zero degenerate cases from genuine
-# positivity at double precision.
 ZERO_RTOL = 1e-10
+DEFAULT_TOL = 1e-10
 
 _SYM_RTOL = 1e-12
 _JACOBI_RTOL = 1e-14

@@ -28,7 +28,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .frames import Bounds, Frame, canonical_dual, frame_bounds, frame_operator, synthesis
-from .linalg import null_space_basis, operator_norm, spd_inverse, zero_threshold
+from .linalg import DEFAULT_TOL, null_space_basis, operator_norm, spd_inverse, zero_threshold
 
 DEFAULT_CAP = 2**22
 # Bytes of the (K, d, d) float64 operator stack one scan chunk holds, per worker.
@@ -212,12 +212,9 @@ def _completions(outer: np.ndarray, prefix: tuple[int, ...]) -> np.ndarray:
     its m successors, so the m^(n - len(prefix)) operators come out in
     lexicographic order of their assignments.
     """
-    m, n, d, _ = outer.shape
-    k = len(prefix)
-    s = outer[prefix[0], 0][None] if k else outer[:, 0]
-    for j in range(1, k):
-        s = s + outer[prefix[j], j]
-    for j in range(max(k, 1), n):
+    n, d = outer.shape[1:3]
+    s = _row_operators(outer, np.array([prefix])) if prefix else outer[:, 0]
+    for j in range(max(len(prefix), 1), n):
         s = (s[:, None] + outer[None, :, j]).reshape(-1, d, d)
     return s
 
@@ -240,23 +237,17 @@ def _scan(s: np.ndarray):
     return lo, np.flatnonzero(w[:, 0] == lo), float(w[:, -1].max())
 
 
-def _reduce_scan(chunks):
+def _reduce_scan(family, chunks, examined, mode, seed=None) -> WeavingReport:
+    """Fold (lo, row, hi) chunk results in chunk order; the first minimum wins."""
     best_lo, best_row, best_hi = np.inf, None, -np.inf
-    examined = 0
-    for lo, row, hi, count in chunks:
+    for lo, row, hi in chunks:
         if lo < best_lo:
             best_lo, best_row = lo, row
         best_hi = max(best_hi, hi)
-        examined += count
-    return best_lo, best_row, best_hi, examined
-
-
-def _make_report(family, best_lo, best_row, best_hi, examined, mode, seed=None):
     lower = max(best_lo, 0.0)
     upper = max(best_hi, 0.0)
     woven = lower > zero_threshold(upper)
-    witness = Partition(best_row, family.m)
-    return WeavingReport(woven, lower, upper, witness, examined, mode, seed)
+    return WeavingReport(woven, lower, upper, Partition(best_row, family.m), examined, mode, seed)
 
 
 def exhaustive_woven_check(
@@ -266,7 +257,7 @@ def exhaustive_woven_check(
 
     Each chunk is every completion of one fixed prefix, with as many free
     indices as fit a (K, d, d) operator stack within CHUNK_BUDGET.  Chunks
-    may be evaluated on a thread pool, and the min/max reduction runs in
+    run on a pool of ``threads`` workers, and the min/max reduction runs in
     chunk order, so the report is identical for any thread count.
     """
     if threads < 1:
@@ -287,14 +278,10 @@ def exhaustive_woven_check(
     def run(prefix):
         lo, tied, hi = _scan(_completions(outer, prefix))
         suffix = np.unravel_index(tied[0], (m,) * depth)
-        return lo, prefix + tuple(map(int, suffix)), hi, m**depth
+        return lo, prefix + tuple(map(int, suffix)), hi
 
-    if threads > 1 and len(prefixes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, prefixes))
-    else:
-        results = [run(p) for p in prefixes]
-    return _make_report(family, *_reduce_scan(results), "exhaustive")
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return _reduce_scan(family, pool.map(run, prefixes), total, "exhaustive")
 
 
 def sampled_woven_estimate(family: FrameFamily, samples: int, seed: int) -> WeavingReport:
@@ -311,18 +298,15 @@ def sampled_woven_estimate(family: FrameFamily, samples: int, seed: int) -> Weav
     outer = _rank_one_table(family)
     rng = np.random.Generator(np.random.PCG64(seed))
     rows = _chunk_rows(family)
-    results = []
-    drawn = 0
-    while drawn < samples:
-        k = min(rows, samples - drawn)
-        digits = rng.integers(0, m, size=(k, n), dtype=np.int64)
+
+    def run(drawn):
+        digits = rng.integers(0, m, size=(min(rows, samples - drawn), n), dtype=np.int64)
         lo, tied, hi = _scan(_row_operators(outer, digits))
         tied = digits[tied]
         # np.lexsort sorts on its last key first, so column 0 goes last
-        best = tied[np.lexsort(tied.T[::-1])[0]]
-        results.append((lo, tuple(best.tolist()), hi, k))
-        drawn += k
-    return _make_report(family, *_reduce_scan(results), "sampled", seed)
+        return lo, tuple(tied[np.lexsort(tied.T[::-1])[0]].tolist()), hi
+
+    return _reduce_scan(family, map(run, range(0, samples, rows)), samples, "sampled", seed)
 
 
 def weaving_canonical_dual(family: FrameFamily, p: Partition) -> Frame:
@@ -334,7 +318,7 @@ def weaving_alternate_dual(
     family: FrameFamily,
     p: Partition,
     kernel_coefficients,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
 ) -> Frame:
     """Dual of the weaving of the form S_W^{-1} T_W + U with T_W U^T = 0.
 
@@ -370,12 +354,12 @@ def weaving_alternate_dual(
         )
     dual = spd_inverse(frame_operator(w)) @ t_w + u
     witness = t_w @ dual.T
-    if np.max(np.abs(witness - np.eye(d))) > max(tol, 1e-10) * (1.0 + operator_norm(t_w)):
+    if np.max(np.abs(witness - np.eye(d))) > max(tol, DEFAULT_TOL) * (1.0 + operator_norm(t_w)):
         raise ConstraintViolatedError("constructed operator fails the duality identity")
     return Frame(dual.T)
 
 
-def is_tight_weaving(family: FrameFamily, p: Partition, tol: float = 1e-10):
+def is_tight_weaving(family: FrameFamily, p: Partition, tol: float = DEFAULT_TOL):
     """The tightness constant A when S_W = A I within tol, else None.
 
     A is the least-squares scalar fit trace(S_W)/d before the residual test.

@@ -252,6 +252,15 @@ class TestPositivity:
         cert = certify_positivity(FrameFamily([f, f]), 1)
         assert cert.hypothesis_satisfied
 
+    def test_zero_cut_boundary(self):
+        # the one difference f_10 f_10^T - f_00 f_00^T has eigenvalues
+        # (1 - delta)^2 - 1 ~ -2 delta and 0, so the cut is 1e-10 * (1 + 0)
+        for delta, accepted in ((4.9e-11, True), (5.1e-11, False)):
+            fam = FrameFamily([Frame(np.eye(2)), Frame(np.diag([1.0 - delta, 1.0]))])
+            cert = certify_positivity(fam, 0)
+            assert cert.hypothesis_satisfied is accepted
+            assert cert.margins["min_difference_eigenvalue"] == pytest.approx(-2 * delta, rel=1e-4)
+
     def test_per_index_matches_all_subsets(self):
         rng = np.random.default_rng(59)
         for _ in range(40):
@@ -318,6 +327,15 @@ class TestLmPerturbation:
         cert = certify_lm_perturbation(fam, 0, [PerturbParams(0.5, 0.0)])
         assert cert.hypothesis_satisfied
         assert cert.guaranteed_lower == pytest.approx(0.5 * frame_bounds(f).lower, abs=1e-12)
+
+    def test_definition_check_zero_cut_boundary(self):
+        # S_k = I and S_diff = diag(1/4, 0), so lambda S_k - S_diff has
+        # eigenvalues -delta and 1/4 - delta; the cut is 1e-10 * (1.25 - delta)
+        fam = FrameFamily([Frame(np.eye(2)), Frame(np.diag([0.5, 1.0]))])
+        cert = certify_lm_perturbation(fam, 0, [PerturbParams(0.25 - 1.22e-10, 0.0)])
+        assert cert.hypothesis_satisfied
+        with pytest.raises(InvalidParamsError, match="fails the perturbation definition"):
+            certify_lm_perturbation(fam, 0, [PerturbParams(0.25 - 1.28e-10, 0.0)])
 
     def test_shift_triple_rejected_at_truncation(self):
         u = clamped_shift_frame(8, (0, 1, 2))

@@ -92,6 +92,15 @@ class TestParsing:
         with pytest.raises(DimensionMismatchError):
             parse_frame_file(p)
 
+    def test_boolean_dim_exit_two(self, runner, tmp_path):
+        p = tmp_path / "bool_dim.json"
+        p.write_text(json.dumps({"dim": True, "frames": [{"vectors": [[1.0]]}]}))
+        with pytest.raises(ParseError):
+            parse_frame_file(p)
+        res = runner.invoke(main, ["frames", "info", str(p)])
+        assert res.exit_code == 2
+        assert json.loads(res.stderr)["error"] == "parse-error"
+
     def test_operators_file(self, tmp_path):
         p = tmp_path / "ops.json"
         p.write_text(json.dumps({"operators": [[[1.0, 0.0], [0.0, 1.0]]]}))
@@ -159,8 +168,16 @@ class TestWeaveCheck:
             assert one.output == two.output
 
     def test_fewer_than_one_thread_exit_two(self, runner, pair_file):
-        for threads in ("0", "-5"):
-            res = runner.invoke(main, ["--threads", threads, "weave", "check", pair_file])
+        # the group validates --threads, --samples and --seed for every mode
+        invocations = (
+            ["--threads", "0", "weave", "check", pair_file],
+            ["--threads", "-5", "weave", "check", pair_file],
+            ["--threads", "0", "weave", "check", pair_file, "--mode", "sample"],
+            ["--samples", "0", "weave", "check", pair_file],
+            ["--seed", "-1", "weave", "check", pair_file, "--mode", "sample"],
+        )
+        for args in invocations:
+            res = runner.invoke(main, args)
             assert res.exit_code == 2
             assert res.stdout == ""
             assert len(res.stderr.splitlines()) == 1
@@ -221,6 +238,22 @@ class TestWeaveDual:
         assert res.exit_code == 0
         assert json.loads(res.output)["result"]["kind"] == "alternate"
 
+    def test_tol_must_be_finite_and_nonnegative(self, runner, pair_file, tmp_path):
+        # U's rows lie outside ker(T_W): every non-finite tol used to accept it
+        coeff = tmp_path / "outside.json"
+        coeff.write_text(json.dumps({"coefficients": [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}))
+        args = ["weave", "dual", pair_file, "--partition", "0,0,1", "--alternate", str(coeff)]
+        for tol in ("1e-10", "0"):
+            res = runner.invoke(main, ["--tol", tol, *args])
+            assert res.exit_code == 2
+            assert json.loads(res.stderr)["error"] == "constraint-violated"
+        for tol in ("nan", "inf", "-1"):
+            res = runner.invoke(main, ["--tol", tol, *args])
+            assert res.exit_code == 2
+            assert res.stdout == ""
+            assert len(res.stderr.splitlines()) == 1
+            assert json.loads(res.stderr)["error"] == "invalid-argument"
+
     def test_singular_weaving_exit_two(self, runner, counter_file):
         res = runner.invoke(main, ["weave", "dual", counter_file, "--partition", "0,0,1"])
         assert res.exit_code == 2
@@ -280,6 +313,14 @@ class TestCertifyCommand:
             main, ["certify", "op-characterization", pair_file, "--universal", "0.4,6"]
         )
         assert res.exit_code == 0
+
+    def test_op_characterization_needs_two_universal_values(self, runner, pair_file):
+        for universal in ("3", "1,2,3"):
+            res = runner.invoke(
+                main, ["certify", "op-characterization", pair_file, "--universal", universal]
+            )
+            assert res.exit_code == 2
+            assert json.loads(res.stderr)["error"] == "invalid-params"
 
     def test_op_family(self, runner, pair_file, tmp_path):
         ops = tmp_path / "ops.json"

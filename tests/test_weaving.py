@@ -35,6 +35,7 @@ from wovenframes.errors import (
     CapExceededError,
     ConstraintViolatedError,
     IndexOutOfRangeError,
+    InvalidArgumentError,
     NotAFrameError,
     ShapeMismatchError,
 )
@@ -305,6 +306,14 @@ class TestExhaustiveCheck:
 
 
 class TestSampledEstimate:
+    def test_library_rejects_no_threads_or_samples(self):
+        # the CLI validates these options too; these checks guard library callers
+        fam = example_family()
+        with pytest.raises(InvalidArgumentError):
+            exhaustive_woven_check(fam, threads=0)
+        with pytest.raises(InvalidArgumentError):
+            sampled_woven_estimate(fam, samples=0, seed=1)
+
     def test_counterexample_found(self):
         rep = sampled_woven_estimate(counterexample_family(), samples=200, seed=1)
         assert not rep.woven
