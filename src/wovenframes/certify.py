@@ -56,15 +56,33 @@ class PerturbParams:
     def __post_init__(self):
         if not 0.0 < self.lam < 1.0:
             raise InvalidParamsError(f"lambda must lie in (0, 1), got {self.lam}")
-        if self.mu < 0.0:
-            raise InvalidParamsError(f"mu must be >= 0, got {self.mu}")
+        if not 0.0 <= self.mu < np.inf:
+            raise InvalidParamsError(f"mu must be finite and >= 0, got {self.mu}")
 
 
-def _require_frame(frame: Frame, name: str) -> Bounds:
-    b = frame_bounds(frame)
+def _spanning(b: Bounds, name: str) -> Bounds:
     if b.lower <= 0.0:
         raise NotAFrameError(f"{name} does not span (lower bound 0)")
     return b
+
+
+def _check_reference(k: int, m: int):
+    if not 0 <= k < m:
+        raise ShapeMismatchError(f"index k={k} out of range for m={m}")
+
+
+def _universal(universal: Bounds) -> tuple[float, float]:
+    if universal.lower <= 0.0:
+        raise NotAFrameError("universal lower bound must be positive")
+    return universal.lower, universal.upper
+
+
+def _operators(operators, d: int) -> list[np.ndarray]:
+    ops = [np.asarray(u, dtype=float) for u in operators]
+    for u in ops:
+        if u.shape != (d, d):
+            raise ShapeMismatchError(f"operators must be {d}x{d}, got {u.shape}")
+    return ops
 
 
 def certify_dual_canonicals(f: Frame, g: Frame, universal: Bounds) -> Certificate:
@@ -75,11 +93,9 @@ def certify_dual_canonicals(f: Frame, g: Frame, universal: Bounds) -> Certificat
     the literal statement with ||S_F||, ||S_G|| does not match the preceding
     step of its own derivation.
     """
-    a, b = universal.lower, universal.upper
-    if a <= 0.0:
-        raise NotAFrameError("universal lower bound must be positive")
-    _require_frame(f, "first frame")
-    _require_frame(g, "second frame")
+    a, b = _universal(universal)
+    _spanning(frame_bounds(f), "first frame")
+    _spanning(frame_bounds(g), "second frame")
     s_f, s_g = frame_operator(f), frame_operator(g)
     inv_f, inv_g = spd_inverse(s_f), spd_inverse(s_g)
     gap = operator_norm(s_f - s_g)
@@ -175,15 +191,11 @@ def certify_operator_family(f: Frame, operators, k: int) -> Certificate:
     V is the Moore-Penrose left inverse of U_k, which minimizes ||V|| and so
     gives the weakest possible hypothesis threshold.
     """
-    ops = [np.asarray(u, dtype=float) for u in operators]
-    d = f.dim
-    for u in ops:
-        if u.shape != (d, d):
-            raise ShapeMismatchError(f"operators must be {d}x{d}, got {u.shape}")
+    ops = _operators(operators, f.dim)
     m = len(ops)
     if not 0 <= k < m:
         raise ShapeMismatchError(f"index k={k} out of range for {m} operators")
-    bounds = _require_frame(f, "base frame")
+    bounds = _spanning(frame_bounds(f), "base frame")
     a, b = bounds.lower, bounds.upper
     v = left_pseudo_inverse(ops[k])
     norm_v = operator_norm(v)
@@ -207,9 +219,8 @@ def certify_operator_family(f: Frame, operators, k: int) -> Certificate:
 def certify_synthesis_gap(family: FrameFamily, k: int) -> Certificate:
     """Frames whose synthesis operators cluster around F_k are woven."""
     m = family.m
-    if not 0 <= k < m:
-        raise ShapeMismatchError(f"index k={k} out of range for m={m}")
-    bounds = [_require_frame(fr, f"frame {i}") for i, fr in enumerate(family.frames)]
+    _check_reference(k, m)
+    bounds = [_spanning(frame_bounds(fr), f"frame {i}") for i, fr in enumerate(family.frames)]
     a_k = bounds[k].lower
     b_k = bounds[k].upper
     t_k = synthesis(family.frames[k])
@@ -240,8 +251,7 @@ def certify_positivity(family: FrameFamily, k: int) -> Certificate:
     sufficiency.
     """
     m = family.m
-    if not 0 <= k < m:
-        raise ShapeMismatchError(f"index k={k} out of range for m={m}")
+    _check_reference(k, m)
     bounds = [frame_bounds(fr) for fr in family.frames]
     worst = np.inf
     scale = 0.0
@@ -273,8 +283,7 @@ def lm_perturbation_min_mu(f_k: Frame, f_i: Frame, lam: float) -> float:
 
     S_diff is the frame operator of the difference family {f_kj - f_ij}.
     """
-    if not 0.0 < lam < 1.0:
-        raise InvalidParamsError(f"lambda must lie in (0, 1), got {lam}")
+    PerturbParams(lam)  # checks lambda
     if (f_k.dim, f_k.size) != (f_i.dim, f_i.size):
         raise ShapeMismatchError("frames must share (dim, size)")
     s_diff = frame_operator(Frame(f_k.vectors - f_i.vectors))
@@ -292,14 +301,11 @@ def certify_lm_perturbation(
     as an operator inequality: lambda_i S_{F_k} + mu_i I - S_diff,i is PSD.
     """
     m = family.m
-    if not 0 <= k < m:
-        raise ShapeMismatchError(f"index k={k} out of range for m={m}")
+    _check_reference(k, m)
     if len(params) != m - 1:
         raise InvalidParamsError(f"need {m - 1} perturbation pairs, got {len(params)}")
     bounds = [frame_bounds(fr) for fr in family.frames]
-    a_k = bounds[k].lower
-    if a_k <= 0.0:
-        raise NotAFrameError(f"frame {k} does not span (lower bound 0)")
+    a_k = _spanning(bounds[k], f"frame {k}").lower
     s_k = frame_operator(family.frames[k])
     eye = np.eye(family.dim)
     others = [i for i in range(m) if i != k]
@@ -342,18 +348,13 @@ def certify_invertible_stability(
     frames' vectors onto each other and weave below it (the certificate notes
     carry this caveat).  Also returns the transformed family {T_i F_i}.
     """
-    a, b = universal.lower, universal.upper
-    if a <= 0.0:
-        raise NotAFrameError("universal lower bound must be positive")
-    ops = [np.asarray(t, dtype=float) for t in operators]
-    d = family.dim
+    a, b = _universal(universal)
+    ops = _operators(operators, family.dim)
     if len(ops) != family.m:
         raise ShapeMismatchError(f"need {family.m} operators, got {len(ops)}")
     inv_norms = []
     norms = []
     for idx, t in enumerate(ops):
-        if t.shape != (d, d):
-            raise ShapeMismatchError(f"operators must be {d}x{d}, got {t.shape}")
         sigma = singular_values(t)
         if sigma[-1] <= zero_threshold(sigma[0]):
             raise SingularOperatorError(
@@ -388,9 +389,7 @@ def certify_synthesis_perturbation(
     lambda_i = ||T_{F_i} - T_{F_i'}||; all must stay strictly below
     A / (2 sqrt(m B)).
     """
-    a, b = universal.lower, universal.upper
-    if a <= 0.0:
-        raise NotAFrameError("universal lower bound must be positive")
+    a, b = _universal(universal)
     if (
         perturbed.m != family.m
         or perturbed.dim != family.dim

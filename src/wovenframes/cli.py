@@ -3,12 +3,12 @@
 Exit codes: 0 = check passed / certificate satisfied / info rendered,
 1 = valid run with a negative verdict (not woven / hypothesis rejected),
 2 = usage or input error.  Reports go to stdout as deterministic JSON;
-errors go to stderr as a single machine-parsable line.
+errors go to stderr as a single machine-parsable line, written in one place:
+the group class of ``main``.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 
@@ -46,21 +46,28 @@ CERTIFY_METHODS = (
 )
 
 
-def _fail(exc: ToolError):
-    line = json.dumps({"error": exc.code, "message": exc.message}, sort_keys=True)
-    click.echo(line, err=True)
-    sys.exit(2)
+class _OneLineErrors(click.Group):
+    """Reports every ToolError, and every usage error click raises, as one
+    JSON line on stderr with exit 2.  A bare invocation still prints help."""
 
+    def make_context(self, *args, **kwargs):
+        return self._guard(super().make_context, *args, **kwargs)
 
-def _tool_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+    def invoke(self, ctx):
+        return self._guard(super().invoke, ctx)
+
+    @staticmethod
+    def _guard(step, *args, **kwargs):
         try:
-            return fn(*args, **kwargs)
+            return step(*args, **kwargs)
+        except click.exceptions.NoArgsIsHelpError:
+            raise
+        except click.ClickException as exc:
+            error = InvalidArgumentError(exc.format_message())
         except ToolError as exc:
-            _fail(exc)
-
-    return wrapper
+            error = exc
+        click.echo(json.dumps({"error": error.code, "message": error.message}, sort_keys=True), err=True)
+        sys.exit(2)
 
 
 def _emit(command: str, inputs: dict, result: dict, positive: bool):
@@ -68,12 +75,15 @@ def _emit(command: str, inputs: dict, result: dict, positive: bool):
     sys.exit(0 if positive else 1)
 
 
-def _parse_partition(text: str, family: FrameFamily) -> Partition:
+def _one_weaving(file, partition: str) -> tuple[FrameFamily, Partition, dict]:
+    """The family, the parsed --partition and the report inputs of a one-weaving command."""
+    family = fio.parse_frame_file(file)
     try:
-        assignment = tuple(int(x) for x in text.split(","))
+        assignment = tuple(int(x) for x in partition.split(","))
     except ValueError:
-        raise InvalidParamsError(f"partition must be a comma-separated word, got {text!r}")
-    return Partition(assignment, family.m)
+        raise InvalidParamsError(f"partition must be a comma-separated word, got {partition!r}")
+    p = Partition(assignment, family.m)
+    return family, p, {"file": str(file), "partition": list(p.assignment)}
 
 
 def _parse_csv_floats(text: str, name: str) -> list[float]:
@@ -83,14 +93,13 @@ def _parse_csv_floats(text: str, name: str) -> list[float]:
         raise InvalidParamsError(f"--{name} must be comma-separated numbers, got {text!r}")
 
 
-@click.group()
+@click.group(cls=_OneLineErrors)
 @click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True, help="Duality / residual tolerance.")
 @click.option("--cap", type=int, default=DEFAULT_CAP, show_default=True, help="Exhaustive enumeration cap on m^n.")
 @click.option("--seed", type=int, default=1, show_default=True, help="Seed for sampled mode.")
 @click.option("--samples", type=int, default=10000, show_default=True, help="Sample count for sampled mode.")
 @click.option("--threads", type=int, default=1, show_default=True, help="Worker threads for exhaustive scans.")
 @click.pass_context
-@_tool_errors
 def main(ctx, tol, cap, seed, samples, threads):
     """Finite frame toolkit: weaving bounds, wovenness checks, duals, certificates."""
     if not 0.0 <= tol < float("inf"):
@@ -109,7 +118,6 @@ def frames_group():
 @frames_group.command("info")
 @click.argument("file", type=click.Path())
 @click.pass_obj
-@_tool_errors
 def frames_info(opts, file):
     """Report per-frame bounds and frame verdicts."""
     family = fio.parse_frame_file(file)
@@ -139,7 +147,6 @@ def weave_group():
 @click.argument("file", type=click.Path())
 @click.option("--mode", type=click.Choice(["exhaustive", "sample"]), default="exhaustive", show_default=True)
 @click.pass_obj
-@_tool_errors
 def weave_check(opts, file, mode):
     """Decide (or estimate) wovenness over all partitions."""
     family = fio.parse_frame_file(file)
@@ -156,14 +163,12 @@ def weave_check(opts, file, mode):
 @click.argument("file", type=click.Path())
 @click.option("--partition", required=True, help="Comma-separated assignment word, e.g. 0,0,1.")
 @click.pass_obj
-@_tool_errors
 def weave_bounds_cmd(opts, file, partition):
     """Optimal bounds of one weaving."""
-    family = fio.parse_frame_file(file)
-    p = _parse_partition(partition, family)
+    family, p, inputs = _one_weaving(file, partition)
     b = weaving_bounds(family, p)
     result = {"bounds": fio.bounds_to_dict(b), "is_frame": b.lower > 0.0}
-    _emit("weave bounds", {"file": str(file), "partition": list(p.assignment)}, result, positive=True)
+    _emit("weave bounds", inputs, result, positive=True)
 
 
 @weave_group.command("dual")
@@ -172,12 +177,9 @@ def weave_bounds_cmd(opts, file, partition):
 @click.option("--alternate", type=click.Path(), default=None,
               help="Coefficients file selecting kernel combinations for an alternate dual.")
 @click.pass_obj
-@_tool_errors
 def weave_dual(opts, file, partition, alternate):
     """Canonical (or alternate) dual of one weaving."""
-    family = fio.parse_frame_file(file)
-    p = _parse_partition(partition, family)
-    inputs = {"file": str(file), "partition": list(p.assignment)}
+    family, p, inputs = _one_weaving(file, partition)
     if alternate is None:
         dual = weaving_canonical_dual(family, p)
         kind = "canonical"
@@ -194,14 +196,12 @@ def weave_dual(opts, file, partition, alternate):
 @click.argument("file", type=click.Path())
 @click.option("--partition", required=True, help="Comma-separated assignment word.")
 @click.pass_obj
-@_tool_errors
 def weave_tight(opts, file, partition):
     """Test one weaving for tightness."""
-    family = fio.parse_frame_file(file)
-    p = _parse_partition(partition, family)
+    family, p, inputs = _one_weaving(file, partition)
     a = is_tight_weaving(family, p, tol=opts["tol"])
     result = {"tight": a is not None, "constant": a if a is None else float(a)}
-    _emit("weave tight", {"file": str(file), "partition": list(p.assignment)}, result, positive=a is not None)
+    _emit("weave tight", inputs, result, positive=a is not None)
 
 
 def _parse_universal(text: str) -> Bounds:
@@ -234,7 +234,6 @@ def _resolve_universal(opts, family: FrameFamily, universal: str | None) -> Boun
 @click.option("--perturbed", type=click.Path(), default=None,
               help="Frame file with the perturbed family (synthesis-perturb).")
 @click.pass_obj
-@_tool_errors
 def certify_cmd(opts, method, file, k, lambdas, mus, ops, universal, perturbed):
     """Run one sufficient-condition certifier."""
     family = fio.parse_frame_file(file)

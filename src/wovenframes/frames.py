@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NotAFrameError, ShapeMismatchError
-from .linalg import DEFAULT_TOL, spd_inverse, sym_eig_bounds, zero_threshold
+from .linalg import DEFAULT_TOL, gram, spd_inverse, sym_eig_bounds, zero_threshold
 
 
 @dataclass(frozen=True)
@@ -52,9 +52,9 @@ class Bounds:
     upper: float
 
     def __post_init__(self):
-        if not (0.0 <= self.lower <= self.upper):
+        if not (0.0 <= self.lower <= self.upper < np.inf):
             raise InvalidArgumentError(
-                f"bounds must satisfy 0 <= lower <= upper, got ({self.lower}, {self.upper})"
+                f"bounds must satisfy 0 <= lower <= upper < inf, got ({self.lower}, {self.upper})"
             )
 
 
@@ -65,9 +65,7 @@ def synthesis(frame: Frame) -> np.ndarray:
 
 def frame_operator(frame: Frame) -> np.ndarray:
     """S = T T^T = sum_j f_j f_j^T (symmetric PSD)."""
-    t = frame.vectors.T
-    s = t @ t.T
-    return 0.5 * (s + s.T)
+    return gram(frame.vectors)
 
 
 def frame_bounds(frame: Frame) -> Bounds:

@@ -1,7 +1,9 @@
 """Frame-file ingestion and deterministic report serialization.
 
 A frame file is JSON with top-level ``dim`` (integer) and ``frames`` (array of
-objects with a ``label`` string and a ``vectors`` array-of-arrays of decimals).
+objects with a ``label`` string and a ``vectors`` array-of-arrays of numbers).
+Every matrix entry in every input file must be a JSON number; booleans and
+numeric strings are parse errors.
 An operators file carries a top-level ``operators`` array of row-major
 matrices; a coefficients file a top-level ``coefficients`` matrix.
 
@@ -44,10 +46,13 @@ def _as_float_rows(raw, where: str) -> list[list[float]]:
     for r, row in enumerate(raw):
         if not isinstance(row, list):
             raise ParseError(f"{where}, row {r}: expected an array of numbers")
+        # exact types: bool subclasses int, and strings must not pass as numbers
+        if any(type(x) not in (int, float) for x in row):
+            raise ParseError(f"{where}, row {r}: non-numeric entry")
         try:
             rows.append([float(x) for x in row])
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{where}, row {r}: non-numeric entry") from exc
+        except OverflowError as exc:
+            raise ParseError(f"{where}, row {r}: integer entry too large for a float") from exc
     return rows
 
 

@@ -2,8 +2,10 @@
 
 The single-matrix helpers solve symmetric eigenproblems by cyclic Jacobi
 rotations; singular values, null spaces and left pseudo-inverses are all
-derived from that solver via M^T M.  The wovenness scans do not use it: they
-solve their stacks of frame operators with LAPACK through np.linalg.eigvalsh.
+derived from that solver via ``gram``, the package's one Gram product (frame
+operators are Gram matrices of the frame vectors too).  The wovenness scans
+do not use the solver: they solve their stacks of frame operators with LAPACK
+through np.linalg.eigvalsh.
 The package's numeric defaults are defined here and nowhere else: ``ZERO_RTOL``,
 the relative cut at or below which ``zero_threshold`` counts a value as zero,
 and ``DEFAULT_TOL``, the tolerance of identity tests such as T_F T_G^T = I.
@@ -126,21 +128,21 @@ def sym_eig_bounds(m) -> tuple[float, float]:
     return float(w[0]), float(w[-1])
 
 
+def gram(a: np.ndarray) -> np.ndarray:
+    """The Gram matrix a^T a, symmetrized so that rounding leaves it exactly symmetric."""
+    g = a.T @ a
+    return 0.5 * (g + g.T)
+
+
 def operator_norm(m) -> float:
-    """Largest singular value, computed from the smaller of M M^T / M^T M."""
-    a = as_matrix(m)
-    g = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
-    g = 0.5 * (g + g.T)
-    _, lam_max = sym_eig_bounds(g)
-    return float(np.sqrt(max(lam_max, 0.0)))
+    """Largest singular value."""
+    return float(singular_values(m)[0])
 
 
 def singular_values(m) -> np.ndarray:
-    """All singular values, descending."""
+    """All singular values, descending, from the smaller of M M^T / M^T M."""
     a = as_matrix(m)
-    g = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
-    g = 0.5 * (g + g.T)
-    w, _ = sym_eig(g, vectors=False)
+    w, _ = sym_eig(gram(a.T if a.shape[0] <= a.shape[1] else a), vectors=False)
     return np.sqrt(np.maximum(w[::-1], 0.0))
 
 
@@ -157,10 +159,7 @@ def spd_inverse(m) -> np.ndarray:
 
 def null_space_basis(m) -> list[np.ndarray]:
     """Orthonormal basis of ker(M), from the spectrum of M^T M."""
-    a = as_matrix(m)
-    g = a.T @ a
-    g = 0.5 * (g + g.T)
-    w, v = sym_eig(g)
+    w, v = sym_eig(gram(as_matrix(m)))
     cut = zero_threshold(w[-1])
     return [v[:, j].copy() for j in range(len(w)) if w[j] <= cut]
 
@@ -174,9 +173,7 @@ def left_pseudo_inverse(m) -> np.ndarray:
     rows, cols = a.shape
     if cols > rows:
         raise NoLeftInverseError(f"matrix is wider than tall ({rows}x{cols})")
-    g = a.T @ a
-    g = 0.5 * (g + g.T)
-    w, v = sym_eig(g)
+    w, v = sym_eig(gram(a))
     sigma = np.sqrt(np.maximum(w, 0.0))
     if sigma[0] <= zero_threshold(sigma[-1]):
         raise NoLeftInverseError(

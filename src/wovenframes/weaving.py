@@ -38,7 +38,11 @@ _MAX_CHUNK = 16384
 
 @dataclass(frozen=True)
 class FrameFamily:
-    """m frames sharing (dim, size)."""
+    """m frames sharing (dim, size).
+
+    The largest trace of any weaving operator, sum_j max_i |f_ij|^2, must stay
+    finite when squared, since the eigensolvers square operator entries.
+    """
 
     frames: tuple[Frame, ...]
 
@@ -53,6 +57,13 @@ class FrameFamily:
                     f"all frames must share shape ({d}, {n}), got ({fr.dim}, {fr.size})"
                 )
         object.__setattr__(self, "frames", frames)
+        with np.errstate(over="ignore"):
+            trace = np.max(np.sum(self.stacked() ** 2, axis=2), axis=0).sum()
+            overflows = not np.isfinite(trace * trace)
+        if overflows:
+            raise InvalidArgumentError(
+                f"frame vectors too large: the largest weaving trace {trace:.3e} overflows when squared"
+            )
 
     @property
     def m(self) -> int:
@@ -93,20 +104,6 @@ class Partition:
     @property
     def size(self) -> int:
         return len(self.assignment)
-
-    @classmethod
-    def from_word(cls, word: int, num_frames: int, size: int) -> "Partition":
-        digits = []
-        for _ in range(size):
-            digits.append(word % num_frames)
-            word //= num_frames
-        return cls(tuple(reversed(digits)), num_frames)
-
-    def word(self) -> int:
-        w = 0
-        for digit in self.assignment:
-            w = w * self.num_frames + digit
-        return w
 
     def block(self, i: int) -> tuple[int, ...]:
         """sigma_i: the indices assigned to frame i."""
@@ -347,14 +344,15 @@ def weaving_alternate_dual(
         raise ShapeMismatchError(
             f"kernel coefficients must have {r} (kernel) or {n} (raw) columns, got {c.shape[1]}"
         )
+    scale = 1.0 + operator_norm(t_w)
     residual = float(np.max(np.abs(t_w @ u.T))) if u.size else 0.0
-    if residual > tol * (1.0 + operator_norm(t_w)):
+    if residual > tol * scale:
         raise ConstraintViolatedError(
             f"T_W U^T is not zero (max entry {residual:.3e}); rows of U must lie in ker(T_W)"
         )
     dual = spd_inverse(frame_operator(w)) @ t_w + u
     witness = t_w @ dual.T
-    if np.max(np.abs(witness - np.eye(d))) > max(tol, DEFAULT_TOL) * (1.0 + operator_norm(t_w)):
+    if np.max(np.abs(witness - np.eye(d))) > max(tol, DEFAULT_TOL) * scale:
         raise ConstraintViolatedError("constructed operator fails the duality identity")
     return Frame(dual.T)
 

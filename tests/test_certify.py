@@ -371,8 +371,9 @@ class TestLmPerturbation:
     def test_param_validation(self):
         with pytest.raises(InvalidParamsError):
             PerturbParams(1.5, 0.0)
-        with pytest.raises(InvalidParamsError):
-            PerturbParams(0.5, -1.0)
+        for mu in (-1.0, np.inf, np.nan):
+            with pytest.raises(InvalidParamsError):
+                PerturbParams(0.5, mu)
 
 
 class TestInvertibleStability:

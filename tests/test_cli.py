@@ -113,6 +113,22 @@ class TestParsing:
         p.write_text(json.dumps({"coefficients": [[0.0], [1.0]]}))
         np.testing.assert_array_equal(parse_coefficients_file(p), [[0.0], [1.0]])
 
+    @pytest.mark.parametrize("entry", ["true", '"2"', "1" + "0" * 400], ids=["bool", "string", "huge-int"])
+    @pytest.mark.parametrize(
+        "parse, template",
+        [
+            (parse_frame_file, '{"dim": 2, "frames": [{"vectors": [[%s, 0], [0, 1]]}]}'),
+            (parse_operators_file, '{"operators": [[[%s, 0], [0, 1]]]}'),
+            (parse_coefficients_file, '{"coefficients": [[%s], [1]]}'),
+        ],
+        ids=["frame", "operators", "coefficients"],
+    )
+    def test_entries_must_be_json_numbers(self, tmp_path, parse, template, entry):
+        p = tmp_path / "entries.json"
+        p.write_text(template % entry)
+        with pytest.raises(ParseError):
+            parse(p)
+
 
 class TestWeaveCheck:
     def test_woven_exit_zero(self, runner, pair_file):
@@ -377,6 +393,78 @@ class TestCertifyCommand:
     def test_not_woven_without_universal(self, runner, counter_file):
         res = runner.invoke(main, ["certify", "dual-canonicals", counter_file])
         assert res.exit_code == 2
+
+
+OVERFLOW = {"dim": 2, "frames": [{"vectors": [[1e200, 0], [0, 1], [1, 1]]}, {"vectors": [[1, 0], [1, 1], [1, -1]]}]}
+OVERFLOW_SPLIT = {"dim": 2, "frames": [{"vectors": [[1e154, 0], [0, 1], [1, 1]]}, {"vectors": [[1, 0], [1e154, 0], [1, -1]]}]}
+
+
+class TestErrorContract:
+    """Every exit-2 path writes nothing to stdout and one JSON line to stderr."""
+
+    @pytest.fixture
+    def files(self, tmp_path, pair_file):
+        docs = {
+            "overflow": OVERFLOW,
+            "split": OVERFLOW_SPLIT,
+            "lenient": {"dim": 2, "frames": [{"vectors": [[True, "2"], [0, "1e0"]]}]},
+            "ops": {"operators": [np.eye(2).tolist(), np.eye(2).tolist()]},
+        }
+        paths = {"pair": pair_file, "absent": str(tmp_path / "absent.json")}
+        for name, doc in docs.items():
+            paths[name] = str(tmp_path / f"{name}.json")
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        return paths
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            # family whose largest weaving trace overflows when squared, for each command
+            (["frames", "info", "{overflow}"], "invalid-argument"),
+            (["frames", "info", "{split}"], "invalid-argument"),
+            (["weave", "check", "{overflow}"], "invalid-argument"),
+            (["weave", "check", "{split}"], "invalid-argument"),
+            (["weave", "check", "{overflow}", "--mode", "sample"], "invalid-argument"),
+            (["weave", "check", "{split}", "--mode", "sample"], "invalid-argument"),
+            (["weave", "bounds", "{overflow}", "--partition", "0,0,1"], "invalid-argument"),
+            (["weave", "dual", "{overflow}", "--partition", "0,0,1"], "invalid-argument"),
+            (["weave", "tight", "{overflow}", "--partition", "0,0,1"], "invalid-argument"),
+            (["certify", "positivity", "{overflow}"], "invalid-argument"),
+            (["certify", "synthesis-perturb", "{pair}", "--perturbed", "{overflow}"], "invalid-argument"),
+            # booleans and numeric strings are not numbers
+            (["frames", "info", "{lenient}"], "parse-error"),
+            # non-finite numeric options
+            (["certify", "invertible", "{pair}", "--ops", "{ops}", "--universal", "1,inf"], "invalid-argument"),
+            (["certify", "lm-perturb", "{pair}", "--lambda", "0.5", "--mu", "inf"], "invalid-params"),
+            # usage errors click raises
+            (["weave", "bounds", "{pair}"], "invalid-argument"),
+            (["--threads", "abc", "weave", "check", "{pair}"], "invalid-argument"),
+            (["certify", "nosuch", "{pair}"], "invalid-argument"),
+            (["--nosuch", "weave", "check", "{pair}"], "invalid-argument"),
+            (["weave", "check"], "invalid-argument"),
+            (["weave", "check", "{pair}", "--mode", "bogus"], "invalid-argument"),
+            # errors the library raises
+            (["weave", "check", "{absent}"], "parse-error"),
+            (["--cap", "4", "weave", "check", "{pair}"], "cap-exceeded"),
+            (["weave", "bounds", "{pair}", "--partition", "0,2,0"], "index-out-of-range"),
+            (["--tol", "nan", "weave", "check", "{pair}"], "invalid-argument"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+    )
+    # a warning printed before the error line would break the one-line contract
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_one_json_line(self, runner, files, args, code):
+        res = runner.invoke(main, [a.format(**files) for a in args])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1
+        assert json.loads(res.stderr)["error"] == code
+
+    def test_help_pages_exit_zero(self, runner):
+        for args in (["--help"], ["weave", "check", "--help"], ["certify", "--help"]):
+            res = runner.invoke(main, args)
+            assert res.exit_code == 0
+            assert res.stdout.startswith("Usage: ")
 
 
 class TestReportShape:

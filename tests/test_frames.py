@@ -3,6 +3,7 @@ import pytest
 
 from support import example_pair
 from wovenframes import (
+    Bounds,
     Frame,
     analyze,
     canonical_dual,
@@ -58,6 +59,11 @@ class TestFrameBounds:
         b = frame_bounds(fr)
         assert b.lower == pytest.approx(0.25, abs=1e-14)
         assert b.upper == pytest.approx(0.25, abs=1e-14)
+
+    def test_bounds_must_be_ordered_and_finite(self):
+        for lower, upper in ((2.0, 1.0), (-1.0, 1.0), (1.0, np.inf), (np.nan, 1.0), (1.0, np.nan)):
+            with pytest.raises(InvalidArgumentError):
+                Bounds(lower, upper)
 
     def test_fewer_vectors_than_dim(self):
         assert frame_bounds(Frame([[1.0, 0.0]])).lower == 0.0

@@ -9,7 +9,9 @@ from wovenframes.errors import (
     NoLeftInverseError,
     SingularMatrixError,
 )
+from wovenframes import Frame, frame_operator
 from wovenframes.linalg import (
+    gram,
     jacobi_eigh_batch,
     left_pseudo_inverse,
     null_space_basis,
@@ -85,6 +87,18 @@ def test_sym_eig_bounds_agrees_with_lapack(raw):
     scale = 1.0 + max(abs(w[0]), abs(w[-1]))
     assert abs(lo - w[0]) <= 1e-11 * scale
     assert abs(hi - w[-1]) <= 1e-11 * scale
+
+
+class TestGram:
+    def test_symmetric_and_shared(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            a = rng.normal(size=(int(rng.integers(1, 7)), int(rng.integers(1, 7))))
+            g = gram(a)
+            np.testing.assert_array_equal(g, g.T)
+            np.testing.assert_allclose(g, a.T @ a, rtol=0, atol=1e-14 * (1 + np.max(g)))
+            np.testing.assert_array_equal(frame_operator(Frame(a)), g)
+            assert operator_norm(a) == singular_values(a)[0]
 
 
 class TestOperatorNorm:

@@ -54,14 +54,24 @@ class TestPartition:
         assert p.block(0) == (0, 1)
         assert p.block(1) == (2,)
 
-    def test_word_round_trip(self):
-        for word in range(8):
-            p = Partition.from_word(word, 2, 3)
-            assert p.word() == word
-
     def test_out_of_range(self):
         with pytest.raises(IndexOutOfRangeError):
             Partition((0, 2), 2)
+
+
+class TestFrameFamily:
+    def test_rejects_a_weaving_trace_that_overflows_when_squared(self):
+        g = Frame([[1.0, 0.0], [1.0, 1.0], [1.0, -1.0]])
+        big = Frame([[1e200, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        # each 1e154 entry alone gives a finite trace of 1e308
+        f154 = Frame([[1e154, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        split = Frame([[1.0, 0.0], [1e154, 0.0], [1.0, -1.0]])
+        for frames in ([big, g], [f154, g], [f154, split]):
+            with pytest.raises(InvalidArgumentError):
+                FrameFamily(frames)
+        # a trace of about 1e154 squares to 1e308, still finite
+        report = exhaustive_woven_check(FrameFamily([Frame([[1e77, 0.0], [0.0, 1.0], [1.0, 1.0]]), g]))
+        assert np.isfinite(report.universal_upper)
 
 
 class TestWeave:
@@ -427,6 +437,18 @@ class TestWeavingDuals:
         assert np.max(np.abs(alt.vectors - canon.vectors)) > 0.1
         ok, _ = is_dual_pair(weave(fam, p), alt)
         assert ok
+
+    def test_alternate_takes_one_operator_norm(self, monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(np.shape(m))
+            return norm(m)
+
+        norm = weaving.operator_norm
+        monkeypatch.setattr(weaving, "operator_norm", counted)
+        weaving_alternate_dual(example_family(), Partition((0, 0, 1), 2), np.array([[1.0], [0.0]]))
+        assert calls == [(2, 3)]
 
     def test_raw_matrix_outside_kernel_rejected(self):
         fam = example_family()
