@@ -18,18 +18,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    InvalidArgumentError,
     InvalidParamsError,
+    NoLeftInverseError,
     NotAFrameError,
     ShapeMismatchError,
     SingularOperatorError,
 )
-from .frames import Bounds, Frame, frame_bounds, frame_operator, is_dual_pair, synthesis
+from .frames import (
+    Bounds,
+    Frame,
+    frame_bounds,
+    frame_operator,
+    inverse_frame_operator,
+    is_dual_pair,
+    synthesis,
+)
 from .linalg import (
     DEFAULT_TOL,
-    left_pseudo_inverse,
+    as_matrix,
     operator_norm,
     singular_values,
-    spd_inverse,
     sym_eig_bounds,
     zero_threshold,
 )
@@ -60,9 +69,13 @@ class PerturbParams:
             raise InvalidParamsError(f"mu must be finite and >= 0, got {self.mu}")
 
 
+def _not_spanning(name: str) -> str:
+    return f"{name} does not span (lower bound 0)"
+
+
 def _spanning(b: Bounds, name: str) -> Bounds:
     if b.lower <= 0.0:
-        raise NotAFrameError(f"{name} does not span (lower bound 0)")
+        raise NotAFrameError(_not_spanning(name))
     return b
 
 
@@ -79,9 +92,15 @@ def _universal(universal: Bounds) -> tuple[float, float]:
 
 def _operators(operators, d: int) -> list[np.ndarray]:
     ops = [np.asarray(u, dtype=float) for u in operators]
-    for u in ops:
+    for i, u in enumerate(ops):
         if u.shape != (d, d):
             raise ShapeMismatchError(f"operators must be {d}x{d}, got {u.shape}")
+        # U^T U is the frame operator of U's rows, so the family's rule applies
+        trace, overflows = FrameFamily.largest_trace(as_matrix(u)[None])
+        if overflows:
+            raise InvalidArgumentError(
+                f"operator {i} too large: its Gram trace {trace:.3e} overflows when squared"
+            )
     return ops
 
 
@@ -94,12 +113,11 @@ def certify_dual_canonicals(f: Frame, g: Frame, universal: Bounds) -> Certificat
     step of its own derivation.
     """
     a, b = _universal(universal)
-    _spanning(frame_bounds(f), "first frame")
-    _spanning(frame_bounds(g), "second frame")
-    s_f, s_g = frame_operator(f), frame_operator(g)
-    inv_f, inv_g = spd_inverse(s_f), spd_inverse(s_g)
-    gap = operator_norm(s_f - s_g)
-    norm_inv_f, norm_inv_g = operator_norm(inv_f), operator_norm(inv_g)
+    inv_f, bounds_f = inverse_frame_operator(f, _not_spanning("first frame"))
+    inv_g, bounds_g = inverse_frame_operator(g, _not_spanning("second frame"))
+    gap = operator_norm(frame_operator(f) - frame_operator(g))
+    # ||S^-1|| = 1/A and ||S|| = B, read from the same spectra
+    norm_inv_f, norm_inv_g = 1.0 / bounds_f.lower, 1.0 / bounds_g.lower
     inv_gap = operator_norm(inv_g - inv_f)
     ratio = a / b
     ok_f = norm_inv_f * gap < ratio
@@ -116,7 +134,7 @@ def certify_dual_canonicals(f: Frame, g: Frame, universal: Bounds) -> Certificat
         return Certificate("dual-canonicals", False, margins)
     # lower bound: ||S^-1 f|| >= ||f|| / ||S||, so the anchor norm here is the
     # forward operator norm, not the inverse one
-    anchor_norm = operator_norm(s_f if ok_f else s_g)
+    anchor_norm = bounds_f.upper if ok_f else bounds_g.upper
     bracket = np.sqrt(a) / anchor_norm - np.sqrt(b) * inv_gap
     margins["lower_root"] = float(bracket)
     upper = b * (norm_inv_f**2 + norm_inv_g**2)
@@ -164,14 +182,15 @@ def certify_commuting_dual_pair(f: Frame, g: Frame, tol: float = DEFAULT_TOL) ->
 
     The all-sigma condition T_F^s (T_G^s)^* = T_G^s (T_F^s)^* reduces exactly
     to symmetry of every rank-one product f_j g_j^T: singletons give
-    necessity, additivity over sigma gives sufficiency.
+    necessity, additivity over sigma gives sufficiency.  Each antisymmetric
+    part f_j g_j^T - g_j f_j^T has rank 2 and two equal singular values, so
+    its operator norm is its Frobenius norm over sqrt(2).
     """
     dual, witness = is_dual_pair(f, g, tol)
     dual_gap = float(np.max(np.abs(witness - np.eye(f.dim))))
-    asym = max(
-        float(operator_norm(np.outer(fj, gj) - np.outer(gj, fj)))
-        for fj, gj in zip(f.vectors, g.vectors)
-    )
+    cross = np.einsum("jd,je->jde", f.vectors, g.vectors)
+    antisym = cross - cross.transpose(0, 2, 1)
+    asym = float(np.max(np.linalg.norm(antisym, axis=(1, 2))) / np.sqrt(2.0))
     margins = {"duality_gap": dual_gap, "max_asymmetry": asym, "tol": tol}
     if not dual or asym > tol:
         return Certificate("dual-pair", False, margins)
@@ -189,7 +208,9 @@ def certify_operator_family(f: Frame, operators, k: int) -> Certificate:
     left inverse.
 
     V is the Moore-Penrose left inverse of U_k, which minimizes ||V|| and so
-    gives the weakest possible hypothesis threshold.
+    gives the weakest possible hypothesis threshold: ||V|| = 1/sigma_min(U_k),
+    with sigma taken from U_k^T U_k.
+    With a single operator the threshold is vacuous and is not reported.
     """
     ops = _operators(operators, f.dim)
     m = len(ops)
@@ -197,17 +218,16 @@ def certify_operator_family(f: Frame, operators, k: int) -> Certificate:
         raise ShapeMismatchError(f"index k={k} out of range for {m} operators")
     bounds = _spanning(frame_bounds(f), "base frame")
     a, b = bounds.lower, bounds.upper
-    v = left_pseudo_inverse(ops[k])
-    norm_v = operator_norm(v)
+    sigma = singular_values(ops[k].T)
+    if sigma[-1] <= zero_threshold(sigma[0]):
+        raise NoLeftInverseError(f"matrix is rank deficient (sigma_min={sigma[-1]:.3e})")
+    norm_v = 1.0 / float(sigma[-1])
     gap = max((operator_norm(ops[k] - u) for i, u in enumerate(ops) if i != k), default=0.0)
-    threshold = np.inf if m == 1 else np.sqrt(a / ((m - 1) * b)) / norm_v
-    margins = {
-        "max_operator_gap": gap,
-        "threshold": float(threshold),
-        "norm_left_inverse": norm_v,
-    }
-    if not gap < threshold:
-        return Certificate("op-family", False, margins)
+    margins = {"max_operator_gap": gap, "norm_left_inverse": norm_v}
+    if m > 1:
+        margins["threshold"] = float(np.sqrt(a / ((m - 1) * b)) / norm_v)
+        if not gap < margins["threshold"]:
+            return Certificate("op-family", False, margins)
     # the triangle-inequality derivation bounds the square root of the frame
     # sum, so the guarantee is the squared difference (the difference of
     # squares overshoots by the cross term and is not a valid bound)
@@ -235,7 +255,8 @@ def certify_synthesis_gap(family: FrameFamily, k: int) -> Certificate:
         gaps[f"gap_{i}"] = gap
         worst_margin = min(worst_margin, limit - gap)
         total += (np.sqrt(bounds[i].upper) + np.sqrt(b_k)) * gap
-    margins = {"worst_margin": float(worst_margin), **gaps}
+    # with a single frame the worst margin is vacuous and is not reported
+    margins = {"worst_margin": float(worst_margin), **gaps} if m > 1 else gaps
     if not worst_margin > 0.0:
         return Certificate("synthesis-gap", False, margins)
     lower = a_k - total

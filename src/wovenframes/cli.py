@@ -17,7 +17,7 @@ import click
 from . import certify as ct
 from . import io as fio
 from .errors import InvalidArgumentError, InvalidParamsError, ToolError
-from .frames import Bounds, frame_bounds, is_frame
+from .frames import Bounds, frame_bounds
 from .linalg import DEFAULT_TOL
 from .weaving import (
     DEFAULT_CAP,
@@ -121,17 +121,14 @@ def frames_group():
 def frames_info(opts, file):
     """Report per-frame bounds and frame verdicts."""
     family = fio.parse_frame_file(file)
+    bounds = [frame_bounds(fr) for fr in family.frames]
     result = {
         "dim": family.dim,
         "vectors_per_frame": family.size,
         "num_frames": family.m,
         "frames": [
-            {
-                "label": fr.label,
-                "bounds": fio.bounds_to_dict(frame_bounds(fr)),
-                "is_frame": is_frame(fr),
-            }
-            for fr in family.frames
+            {"label": fr.label, "bounds": fio.bounds_to_dict(b), "is_frame": b.lower > 0.0}
+            for fr, b in zip(family.frames, bounds)
         ],
         "bessel_upper_bound": float(bessel_upper_bound(family)),
     }

@@ -29,10 +29,6 @@ class IndexOutOfRangeError(ToolError):
     code = "index-out-of-range"
 
 
-class SingularMatrixError(ToolError):
-    code = "singular-matrix"
-
-
 class NoLeftInverseError(ToolError):
     code = "no-left-inverse"
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NotAFrameError, ShapeMismatchError
-from .linalg import DEFAULT_TOL, gram, spd_inverse, sym_eig_bounds, zero_threshold
+from .linalg import DEFAULT_TOL, gram, sym_eig, zero_threshold
 
 
 @dataclass(frozen=True)
@@ -68,17 +68,26 @@ def frame_operator(frame: Frame) -> np.ndarray:
     return gram(frame.vectors)
 
 
-def frame_bounds(frame: Frame) -> Bounds:
-    """Optimal frame bounds: the extreme eigenvalues of the frame operator.
+def _bounds(w: np.ndarray) -> Bounds:
+    """Optimal bounds from the ascending spectrum of S.  A smallest eigenvalue at
+    or below the positivity threshold is reported as 0 (Bessel but not a frame)."""
+    lam_max = max(float(w[-1]), 0.0)
+    return Bounds(0.0 if w[0] <= zero_threshold(lam_max) else float(w[0]), lam_max)
 
-    A smallest eigenvalue at or below the positivity threshold is reported as
-    exactly 0 (Bessel but not a frame).
-    """
-    lam_min, lam_max = sym_eig_bounds(frame_operator(frame))
-    lam_max = max(lam_max, 0.0)
-    if lam_min <= zero_threshold(lam_max):
-        lam_min = 0.0
-    return Bounds(lam_min, lam_max)
+
+def frame_bounds(frame: Frame) -> Bounds:
+    """Optimal frame bounds: the extreme eigenvalues of the frame operator."""
+    return _bounds(sym_eig(frame_operator(frame), vectors=False)[0])
+
+
+def inverse_frame_operator(frame: Frame, not_a_frame: str) -> tuple[np.ndarray, Bounds]:
+    """S^{-1} and the optimal bounds A, B (so ||S|| = B, ||S^{-1}|| = 1/A) from one
+    decomposition of S.  Raises NotAFrameError(not_a_frame) when A = 0."""
+    w, v = sym_eig(frame_operator(frame))
+    bounds = _bounds(w)
+    if bounds.lower <= 0.0:
+        raise NotAFrameError(not_a_frame)
+    return (v / w) @ v.T, bounds
 
 
 def is_frame(frame: Frame) -> bool:
@@ -87,9 +96,7 @@ def is_frame(frame: Frame) -> bool:
 
 def canonical_dual(frame: Frame) -> Frame:
     """The frame {S^{-1} f_j}."""
-    if not is_frame(frame):
-        raise NotAFrameError("family does not span, canonical dual undefined")
-    s_inv = spd_inverse(frame_operator(frame))
+    s_inv, _ = inverse_frame_operator(frame, "family does not span, canonical dual undefined")
     return Frame(frame.vectors @ s_inv.T, label=frame.label)
 
 

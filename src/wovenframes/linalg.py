@@ -1,11 +1,11 @@
 """Dense real kernels for small matrices.
 
-The single-matrix helpers solve symmetric eigenproblems by cyclic Jacobi
-rotations; singular values, null spaces and left pseudo-inverses are all
-derived from that solver via ``gram``, the package's one Gram product (frame
-operators are Gram matrices of the frame vectors too).  The wovenness scans
-do not use the solver: they solve their stacks of frame operators with LAPACK
-through np.linalg.eigvalsh.
+The single-matrix primitives are ``sym_eig``/``sym_eig_bounds``,
+``singular_values``/``operator_norm`` and ``null_space_basis``.  All solve
+symmetric eigenproblems by cyclic Jacobi rotations, the last three on ``gram``,
+the package's one Gram product (frame operators are Gram matrices too);
+callers read inverses and their norms from one spectrum.  The wovenness scans
+solve their stacks of frame operators with LAPACK through np.linalg.eigvalsh.
 The package's numeric defaults are defined here and nowhere else: ``ZERO_RTOL``,
 the relative cut at or below which ``zero_threshold`` counts a value as zero,
 and ``DEFAULT_TOL``, the tolerance of identity tests such as T_F T_G^T = I.
@@ -15,11 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    InvalidArgumentError,
-    NoLeftInverseError,
-    SingularMatrixError,
-)
+from .errors import InvalidArgumentError
 
 ZERO_RTOL = 1e-10
 DEFAULT_TOL = 1e-10
@@ -58,7 +54,7 @@ def jacobi_eigh_batch(stack: np.ndarray, vectors: bool = False):
 
     Cyclic sweeps over the strict upper triangle, one rotation angle per
     matrix in the batch, until every off-diagonal Frobenius norm drops below
-    1e-14 * (1 + maxabs) or 100 sweeps elapse.
+    1e-14 * maxabs (each matrix's own scale) or 100 sweeps elapse.
 
     Returns (eigvals, eigvecs): eigvals (K, d) ascending; eigvecs (K, d, d)
     with orthonormal columns (or None when vectors=False).
@@ -69,7 +65,7 @@ def jacobi_eigh_batch(stack: np.ndarray, vectors: bool = False):
     k, d, _ = a.shape
     v = np.tile(np.eye(d), (k, 1, 1)) if vectors else None
     if d > 1:
-        tol = _JACOBI_RTOL * (1.0 + np.max(np.abs(a), axis=(1, 2)))
+        tol = _JACOBI_RTOL * np.max(np.abs(a), axis=(1, 2))
         off_mask = ~np.eye(d, dtype=bool)
         for _ in range(_JACOBI_MAX_SWEEPS):
             off = np.sqrt(np.sum((a * off_mask) ** 2, axis=(1, 2)))
@@ -146,37 +142,8 @@ def singular_values(m) -> np.ndarray:
     return np.sqrt(np.maximum(w[::-1], 0.0))
 
 
-def spd_inverse(m) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix via its spectrum."""
-    a = check_symmetric(m)
-    w, v = sym_eig(a)
-    if w[0] <= zero_threshold(w[-1]):
-        raise SingularMatrixError(
-            f"matrix is not positive definite (lambda_min={w[0]:.3e})"
-        )
-    return (v / w) @ v.T
-
-
 def null_space_basis(m) -> list[np.ndarray]:
     """Orthonormal basis of ker(M), from the spectrum of M^T M."""
     w, v = sym_eig(gram(as_matrix(m)))
     cut = zero_threshold(w[-1])
     return [v[:, j].copy() for j in range(len(w)) if w[j] <= cut]
-
-
-def left_pseudo_inverse(m) -> np.ndarray:
-    """Moore-Penrose left inverse (M^T M)^{-1} M^T of a full-column-rank M.
-
-    Among all left inverses this one has minimal operator norm 1/sigma_min(M).
-    """
-    a = as_matrix(m)
-    rows, cols = a.shape
-    if cols > rows:
-        raise NoLeftInverseError(f"matrix is wider than tall ({rows}x{cols})")
-    w, v = sym_eig(gram(a))
-    sigma = np.sqrt(np.maximum(w, 0.0))
-    if sigma[0] <= zero_threshold(sigma[-1]):
-        raise NoLeftInverseError(
-            f"matrix is rank deficient (sigma_min={sigma[0]:.3e})"
-        )
-    return (v / w) @ v.T @ a.T

@@ -24,11 +24,18 @@ from .errors import (
     ConstraintViolatedError,
     IndexOutOfRangeError,
     InvalidArgumentError,
-    NotAFrameError,
     ShapeMismatchError,
 )
-from .frames import Bounds, Frame, canonical_dual, frame_bounds, frame_operator, synthesis
-from .linalg import DEFAULT_TOL, null_space_basis, operator_norm, spd_inverse, zero_threshold
+from .frames import (
+    Bounds,
+    Frame,
+    canonical_dual,
+    frame_bounds,
+    frame_operator,
+    inverse_frame_operator,
+    synthesis,
+)
+from .linalg import DEFAULT_TOL, null_space_basis, operator_norm, zero_threshold
 
 DEFAULT_CAP = 2**22
 # Bytes of the (K, d, d) float64 operator stack one scan chunk holds, per worker.
@@ -57,13 +64,18 @@ class FrameFamily:
                     f"all frames must share shape ({d}, {n}), got ({fr.dim}, {fr.size})"
                 )
         object.__setattr__(self, "frames", frames)
-        with np.errstate(over="ignore"):
-            trace = np.max(np.sum(self.stacked() ** 2, axis=2), axis=0).sum()
-            overflows = not np.isfinite(trace * trace)
+        trace, overflows = self.largest_trace(self.stacked())
         if overflows:
             raise InvalidArgumentError(
                 f"frame vectors too large: the largest weaving trace {trace:.3e} overflows when squared"
             )
+
+    @staticmethod
+    def largest_trace(stack: np.ndarray) -> tuple[float, bool]:
+        """sum_j max_i |f_ij|^2 of an (m, n, d) stack, and whether it overflows when squared."""
+        with np.errstate(over="ignore"):
+            trace = np.max(np.sum(stack**2, axis=2), axis=0).sum()
+            return trace, not np.isfinite(trace * trace)
 
     @property
     def m(self) -> int:
@@ -324,9 +336,7 @@ def weaving_alternate_dual(
     matrix U whose rows are then verified to lie in the kernel.
     """
     w = weave(family, p)
-    bounds = frame_bounds(w)
-    if bounds.lower <= 0.0:
-        raise NotAFrameError("weaving is not a frame, duals undefined")
+    s_inv, bounds = inverse_frame_operator(w, "weaving is not a frame, duals undefined")
     t_w = synthesis(w)
     d, n = t_w.shape
     kernel = null_space_basis(t_w)
@@ -344,13 +354,13 @@ def weaving_alternate_dual(
         raise ShapeMismatchError(
             f"kernel coefficients must have {r} (kernel) or {n} (raw) columns, got {c.shape[1]}"
         )
-    scale = 1.0 + operator_norm(t_w)
+    scale = 1.0 + np.sqrt(bounds.upper)  # 1 + ||T_W||
     residual = float(np.max(np.abs(t_w @ u.T))) if u.size else 0.0
     if residual > tol * scale:
         raise ConstraintViolatedError(
             f"T_W U^T is not zero (max entry {residual:.3e}); rows of U must lie in ker(T_W)"
         )
-    dual = spd_inverse(frame_operator(w)) @ t_w + u
+    dual = s_inv @ t_w + u
     witness = t_w @ dual.T
     if np.max(np.abs(witness - np.eye(d))) > max(tol, DEFAULT_TOL) * scale:
         raise ConstraintViolatedError("constructed operator fails the duality identity")

@@ -26,6 +26,7 @@ from wovenframes import (
 )
 from wovenframes.errors import (
     InvalidParamsError,
+    NoLeftInverseError,
     NotAFrameError,
     ShapeMismatchError,
     SingularOperatorError,
@@ -73,8 +74,37 @@ class TestDualCanonicals:
 
     def test_rejects_non_frame(self):
         f, _ = example_pair()
-        with pytest.raises(NotAFrameError):
+        with pytest.raises(NotAFrameError, match=r"^second frame does not span \(lower bound 0\)$"):
             certify_dual_canonicals(f, Frame([[1.0, 0], [2, 0], [3, 0]]), Bounds(1.0, 3.0))
+
+    def test_margins_match_lapack(self):
+        rng = np.random.default_rng(61)
+        for _ in range(40):
+            d = int(rng.integers(1, 5))
+            f = Frame(rng.normal(size=(d + 2, d)))
+            g = Frame(f.vectors + 10.0 ** rng.uniform(-4, -1) * rng.normal(size=(d + 2, d)))
+            fam = FrameFamily([f, g])
+            if min(frame_bounds(f).lower, frame_bounds(g).lower) < 0.1:
+                continue
+            rep = exhaustive_woven_check(fam)
+            a, b = rep.universal_lower, rep.universal_upper
+            cert = certify_dual_canonicals(f, g, Bounds(a, b))
+            s_f, s_g = f.vectors.T @ f.vectors, g.vectors.T @ g.vectors
+            w_f, w_g = np.linalg.eigvalsh(s_f), np.linalg.eigvalsh(s_g)
+            expected = {
+                "operator_gap": np.linalg.norm(s_f - s_g, 2),
+                "norm_inv_first": 1.0 / w_f[0],
+                "norm_inv_second": 1.0 / w_g[0],
+            }
+            for key, value in expected.items():
+                assert cert.margins[key] == pytest.approx(value, rel=1e-12, abs=0)
+            if cert.hypothesis_satisfied:
+                anchor = w_f[-1] if cert.margins["margin_first"] > 0 else w_g[-1]
+                inv_gap = np.linalg.norm(np.linalg.inv(s_g) - np.linalg.inv(s_f), 2)
+                terms = np.sqrt(a) / anchor, np.sqrt(b) * inv_gap
+                assert cert.margins["lower_root"] == pytest.approx(
+                    terms[0] - terms[1], rel=1e-12, abs=1e-12 * max(terms)
+                )
 
 
 class TestOperatorCharacterization:
@@ -130,6 +160,18 @@ class TestCommutingDualPair:
         with pytest.raises(ShapeMismatchError):
             certify_commuting_dual_pair(Frame(np.eye(2)), Frame(np.eye(3)))
 
+    def test_asymmetry_matches_lapack(self):
+        rng = np.random.default_rng(67)
+        for _ in range(100):
+            n, d = int(rng.integers(1, 6)), int(rng.integers(2, 6))
+            f, g = Frame(rng.normal(size=(n, d))), Frame(rng.normal(size=(n, d)))
+            expected = max(
+                np.linalg.norm(np.outer(fj, gj) - np.outer(gj, fj), 2)
+                for fj, gj in zip(f.vectors, g.vectors)
+            )
+            cert = certify_commuting_dual_pair(f, g)
+            assert cert.margins["max_asymmetry"] == pytest.approx(expected, rel=1e-12, abs=0)
+
     def test_per_index_matches_all_subsets(self):
         # the per-index symmetry test must agree with checking commutation of
         # the truncated cross operators over every subset of indices
@@ -182,6 +224,61 @@ class TestOperatorFamily:
         f, _ = example_pair()
         with pytest.raises(ShapeMismatchError):
             certify_operator_family(f, [np.eye(3), np.eye(3)], 0)
+
+    def test_identity_reference_left_inverse_norm(self):
+        f, _ = example_pair()
+        cert = certify_operator_family(f, [np.eye(2), 1.1 * np.eye(2)], 0)
+        assert cert.margins["norm_left_inverse"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_scalar_reference_left_inverse_norm(self):
+        cert = certify_operator_family(Frame([[1.0], [1.0]]), [[[2.0]], [[2.1]]], 0)
+        assert cert.margins["norm_left_inverse"] == pytest.approx(0.5, abs=1e-12)
+
+    def test_wide_operator_rejected(self):
+        f, _ = example_pair()
+        with pytest.raises(ShapeMismatchError):
+            certify_operator_family(f, [np.ones((2, 3)), np.eye(2)], 0)
+
+    @pytest.mark.parametrize(
+        "reference",
+        # the asymmetric ones tell U^T U from U U^T apart, as rounding differs
+        [
+            pytest.param(np.ones((2, 2)), id="ones"),
+            pytest.param(np.array([[1.0, 2.0], [3.0, 6.0]]), id="rows-1-3"),
+            pytest.param(
+                np.array([[3.0, 1.0], [6.0, 2.0]]),
+                id="cols-1-3",
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="rounding in U^T U gives sigma_min ~ 1.7e-8, above the cut (ROADMAP item 2)",
+                ),
+            ),
+        ],
+    )
+    def test_rank_deficient_reference_has_no_left_inverse(self, reference):
+        f, _ = example_pair()
+        ops = [reference, np.eye(2)]
+        with pytest.raises(NoLeftInverseError, match=r"^matrix is rank deficient \(sigma_min="):
+            certify_operator_family(f, ops, 0)
+        # only the reference operator needs a left inverse
+        assert certify_operator_family(f, ops, 1).margins["norm_left_inverse"] == pytest.approx(1.0)
+
+    def test_margins_match_lapack(self):
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            d, m = int(rng.integers(1, 5)), int(rng.integers(2, 4))
+            f = Frame(rng.normal(size=(d + 2, d)))
+            ops = [np.eye(d) + 0.3 * rng.normal(size=(d, d)) for _ in range(m)]
+            sigma = np.linalg.svd(ops[0], compute_uv=False)
+            if frame_bounds(f).lower < 0.1 or sigma[-1] < 0.1:
+                continue
+            w = np.linalg.eigvalsh(f.vectors.T @ f.vectors)
+            norm_v = np.linalg.norm(np.linalg.pinv(ops[0]), 2)
+            cert = certify_operator_family(f, ops, 0)
+            assert cert.margins["norm_left_inverse"] == pytest.approx(norm_v, rel=1e-12, abs=0)
+            assert cert.margins["norm_left_inverse"] == pytest.approx(1 / sigma[-1], rel=1e-12, abs=0)
+            threshold = np.sqrt(w[0] / ((m - 1) * w[-1])) / norm_v
+            assert cert.margins["threshold"] == pytest.approx(threshold, rel=1e-12, abs=0)
 
 
 class TestSynthesisGap:

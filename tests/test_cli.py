@@ -6,7 +6,7 @@ from click.testing import CliRunner
 
 from support import clamped_shift_frame, counterexample_family, example_pair
 from wovenframes import Frame, FrameFamily
-from wovenframes.cli import main
+from wovenframes.cli import CERTIFY_METHODS, main
 from wovenframes.io import (
     family_to_dict,
     parse_coefficients_file,
@@ -409,6 +409,7 @@ class TestErrorContract:
             "split": OVERFLOW_SPLIT,
             "lenient": {"dim": 2, "frames": [{"vectors": [[True, "2"], [0, "1e0"]]}]},
             "ops": {"operators": [np.eye(2).tolist(), np.eye(2).tolist()]},
+            "huge_ops": {"operators": [[[1e200, 0], [0, 1]], np.eye(2).tolist()]},
         }
         paths = {"pair": pair_file, "absent": str(tmp_path / "absent.json")}
         for name, doc in docs.items():
@@ -431,6 +432,9 @@ class TestErrorContract:
             (["weave", "tight", "{overflow}", "--partition", "0,0,1"], "invalid-argument"),
             (["certify", "positivity", "{overflow}"], "invalid-argument"),
             (["certify", "synthesis-perturb", "{pair}", "--perturbed", "{overflow}"], "invalid-argument"),
+            # operators whose Gram trace overflows when squared
+            (["certify", "invertible", "{pair}", "--ops", "{huge_ops}", "--universal", "1,3"], "invalid-argument"),
+            (["certify", "op-family", "{pair}", "--ops", "{huge_ops}"], "invalid-argument"),
             # booleans and numeric strings are not numbers
             (["frames", "info", "{lenient}"], "parse-error"),
             # non-finite numeric options
@@ -468,6 +472,31 @@ class TestErrorContract:
 
 
 class TestReportShape:
+    def test_one_frame_reports_are_strict_json(self, runner, tmp_path):
+        # with one frame or one operator some margins are vacuous; none may print as Infinity
+        one = write_family(tmp_path / "one.json", FrameFamily([example_pair()[0]]))
+        ops = tmp_path / "ops.json"
+        ops.write_text(json.dumps({"operators": [np.eye(2).tolist()]}))
+        extra = {
+            "op-characterization": ["--universal", "0.5,3"],
+            "op-family": ["--ops", str(ops)],
+            "lm-perturb": ["--lambda", "0.5", "--mu", "0"],
+            "invertible": ["--ops", str(ops)],
+            "synthesis-perturb": ["--perturbed", one],
+        }
+
+        def strict(token):
+            raise ValueError(f"{token} is not JSON")
+
+        for method in CERTIFY_METHODS:
+            res = runner.invoke(main, ["certify", method, one, *extra.get(method, [])])
+            # these need a second frame, or one (lambda, mu) pair per other frame
+            if method in ("dual-canonicals", "dual-pair", "lm-perturb"):
+                assert (res.exit_code, res.stdout) == (2, "")
+                continue
+            assert res.exit_code == 0, method
+            json.loads(res.stdout, parse_constant=strict)
+
     def test_keys_sorted_and_versioned(self, runner, pair_file):
         res = runner.invoke(main, ["weave", "check", pair_file])
         doc = json.loads(res.output)

@@ -18,6 +18,7 @@ from wovenframes.errors import (
     NotAFrameError,
     ShapeMismatchError,
 )
+from wovenframes.frames import inverse_frame_operator
 
 
 class TestSynthesis:
@@ -135,6 +136,54 @@ class TestCanonicalDual:
             via_frame = fr.vectors.T @ analyze(dual, vec)
             assert np.max(np.abs(via_dual - vec)) <= 1e-10
             assert np.max(np.abs(via_frame - vec)) <= 1e-10
+
+
+class TestInverseFrameOperator:
+    def test_sum_of_outer_products(self):
+        # S = [[2, 1], [1, 2]]
+        inv, b = inverse_frame_operator(Frame([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]), "x")
+        np.testing.assert_allclose(inv, np.array([[2, -1], [-1, 2]]) / 3.0, atol=1e-12)
+        assert (b.lower, b.upper) == pytest.approx((1.0, 3.0), abs=1e-12)
+
+    def test_identity(self):
+        inv, _ = inverse_frame_operator(Frame(np.eye(3)), "x")
+        np.testing.assert_allclose(inv, np.eye(3), atol=1e-14)
+
+    def test_diagonal(self):
+        inv, _ = inverse_frame_operator(Frame(np.diag([np.sqrt(3.0), np.sqrt(2.0)])), "x")
+        np.testing.assert_allclose(inv, [[1 / 3, 0], [0, 0.5]], atol=1e-14)
+
+    def test_residual(self):
+        rng = np.random.default_rng(9)
+        for _ in range(100):
+            d = int(rng.integers(1, 7))
+            fr = Frame(rng.normal(size=(d + int(rng.integers(0, 4)), d)))
+            w = np.linalg.eigvalsh(fr.vectors.T @ fr.vectors)
+            if w[0] < 0.1:
+                continue
+            inv, b = inverse_frame_operator(fr, "x")
+            s = frame_operator(fr)
+            assert np.max(np.abs(s @ inv - np.eye(d))) <= 1e-10
+            # the bounds are frame_bounds', from the same decomposition
+            assert b == frame_bounds(fr)
+            assert b.lower == pytest.approx(w[0], rel=1e-12, abs=0)
+            assert b.upper == pytest.approx(w[-1], rel=1e-12, abs=0)
+
+    def test_involution(self):
+        # the canonical dual's frame operator is S^-1, so its inverse is S
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            d = int(rng.integers(1, 6))
+            fr = Frame(rng.normal(size=(d + 2, d)))
+            if frame_bounds(fr).lower < 0.1:
+                continue
+            twice, _ = inverse_frame_operator(canonical_dual(fr), "x")
+            s = frame_operator(fr)
+            assert np.max(np.abs(twice - s)) <= 1e-9 * (1 + np.max(np.abs(s)))
+
+    def test_singular_rejected(self):
+        with pytest.raises(NotAFrameError, match="^caller's message$"):
+            inverse_frame_operator(Frame([[1.0, 1.0], [1.0, 1.0]]), "caller's message")
 
 
 class TestIsDualPair:

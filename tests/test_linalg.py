@@ -4,20 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wovenframes.errors import (
-    InvalidArgumentError,
-    NoLeftInverseError,
-    SingularMatrixError,
-)
-from wovenframes import Frame, frame_operator
+from wovenframes.errors import InvalidArgumentError
+from wovenframes import Frame, FrameFamily, Partition, frame_bounds, frame_operator, is_tight_weaving
 from wovenframes.linalg import (
     gram,
     jacobi_eigh_batch,
-    left_pseudo_inverse,
     null_space_basis,
     operator_norm,
     singular_values,
-    spd_inverse,
     sym_eig_bounds,
 )
 
@@ -121,42 +115,6 @@ class TestOperatorNorm:
             assert abs(operator_norm(m) - operator_norm(m.T)) <= 1e-12 * (1 + operator_norm(m))
 
 
-class TestSpdInverse:
-    def test_sum_of_outer_products(self):
-        inv = spd_inverse([[2.0, 1.0], [1.0, 2.0]])
-        np.testing.assert_allclose(inv, np.array([[2, -1], [-1, 2]]) / 3.0, atol=1e-12)
-
-    def test_identity(self):
-        np.testing.assert_allclose(spd_inverse(np.eye(3)), np.eye(3), atol=1e-14)
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(
-            spd_inverse([[3.0, 0.0], [0.0, 2.0]]), [[1 / 3, 0], [0, 0.5]], atol=1e-14
-        )
-
-    def test_residual(self):
-        rng = np.random.default_rng(9)
-        for _ in range(100):
-            d = int(rng.integers(1, 7))
-            b = rng.normal(size=(d, d))
-            spd = b @ b.T + 0.1 * np.eye(d)
-            inv = spd_inverse(spd)
-            assert operator_norm(spd @ inv - np.eye(d)) <= 1e-10
-
-    def test_involution(self):
-        rng = np.random.default_rng(13)
-        for _ in range(100):
-            d = int(rng.integers(1, 6))
-            b = rng.normal(size=(d, d))
-            spd = b @ b.T + 0.1 * np.eye(d)
-            twice = spd_inverse(0.5 * (spd_inverse(spd) + spd_inverse(spd).T))
-            assert np.max(np.abs(twice - spd)) <= 1e-9 * (1 + np.max(np.abs(spd)))
-
-    def test_singular_rejected(self):
-        with pytest.raises(SingularMatrixError):
-            spd_inverse([[1.0, 1.0], [1.0, 1.0]])
-
-
 class TestNullSpace:
     def test_invertible_has_trivial_kernel(self):
         assert null_space_basis([[2.0, 1.0], [1.0, 2.0]]) == []
@@ -188,34 +146,33 @@ class TestNullSpace:
                 assert np.max(np.abs(gram - np.eye(len(basis)))) <= 1e-10
 
 
-class TestLeftPseudoInverse:
-    def test_identity(self):
-        np.testing.assert_allclose(left_pseudo_inverse(np.eye(3)), np.eye(3), atol=1e-12)
+class TestRelativeStopRule:
+    """Jacobi stops relative to each matrix's own scale, so matrices with tiny
+    entries are still rotated to their eigenvalues."""
 
-    def test_single_column(self):
-        np.testing.assert_allclose(
-            left_pseudo_inverse([[1.0], [1.0]]), [[0.5, 0.5]], atol=1e-12
-        )
+    def test_tiny_operator_norm(self):
+        m = 1e-8 * np.ones((4, 4))
+        assert operator_norm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-12, abs=0)
 
-    def test_wide_rejected(self):
-        with pytest.raises(NoLeftInverseError):
-            left_pseudo_inverse(np.ones((2, 3)))
+    def test_tiny_frame_bounds(self):
+        v = 1e-8 * np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
+        w = np.linalg.eigvalsh(v.T @ v)
+        b = frame_bounds(Frame(v))
+        assert b.upper == pytest.approx(w[-1], rel=1e-12, abs=0)
+        # far below the absolute zero cut, so the frame counts as Bessel only
+        assert w[0] > 0 and b.lower == 0.0
 
-    def test_rank_deficient_rejected(self):
-        with pytest.raises(NoLeftInverseError):
-            left_pseudo_inverse([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
-
-    def test_left_inverse_property_and_norm(self):
-        rng = np.random.default_rng(17)
-        for _ in range(100):
-            cols = int(rng.integers(1, 5))
-            rows = cols + int(rng.integers(0, 4))
-            m = rng.normal(size=(rows, cols))
-            if singular_values(m)[-1] < 1e-3:
-                continue
-            v = left_pseudo_inverse(m)
-            assert operator_norm(v @ m - np.eye(cols)) <= 1e-10
-            assert operator_norm(v) == pytest.approx(1.0 / singular_values(m)[-1], rel=1e-9)
+    def test_near_tight_weaving_is_not_tight(self):
+        # S_W = I + E with zero-diagonal E: trace(S_W)/d = 1, ||S_W - I|| = 1.5e-10
+        target = np.eye(4) + 0.5e-10 * (np.ones((4, 4)) - np.eye(4))
+        w, v = np.linalg.eigh(target)
+        family = FrameFamily([Frame((v * np.sqrt(w)) @ v.T)])
+        p = Partition((0, 0, 0, 0), 1)
+        s_w = family.frames[0].vectors.T @ family.frames[0].vectors
+        gap = np.linalg.norm(s_w - np.trace(s_w) / 4 * np.eye(4), 2)
+        assert gap == pytest.approx(1.5e-10, rel=1e-3)
+        assert is_tight_weaving(family, p, tol=1e-10) is None
+        assert is_tight_weaving(family, p, tol=2e-10) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_batched_jacobi_matches_single():

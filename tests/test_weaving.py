@@ -39,7 +39,7 @@ from wovenframes.errors import (
     NotAFrameError,
     ShapeMismatchError,
 )
-from wovenframes import weaving
+from wovenframes import linalg, weaving
 from wovenframes.weaving import CoefficientVector, weaving_analyze
 
 
@@ -438,17 +438,19 @@ class TestWeavingDuals:
         ok, _ = is_dual_pair(weave(fam, p), alt)
         assert ok
 
-    def test_alternate_takes_one_operator_norm(self, monkeypatch):
-        calls = []
+    def test_alternate_decomposes_s_w_once(self, monkeypatch):
+        stacks = []
 
-        def counted(m):
-            calls.append(np.shape(m))
-            return norm(m)
+        def counted(stack, vectors=False):
+            stacks.append(np.array(stack))
+            return solve(stack, vectors)
 
-        norm = weaving.operator_norm
-        monkeypatch.setattr(weaving, "operator_norm", counted)
-        weaving_alternate_dual(example_family(), Partition((0, 0, 1), 2), np.array([[1.0], [0.0]]))
-        assert calls == [(2, 3)]
+        solve = linalg.jacobi_eigh_batch
+        monkeypatch.setattr(linalg, "jacobi_eigh_batch", counted)
+        fam, p = example_family(), Partition((0, 0, 1), 2)
+        weaving_alternate_dual(fam, p, np.array([[1.0], [0.0]]))
+        s_w = weaving_operator(fam, p)
+        assert sum(s.shape == (1, 2, 2) and np.array_equal(s[0], s_w) for s in stacks) == 1
 
     def test_raw_matrix_outside_kernel_rejected(self):
         fam = example_family()
