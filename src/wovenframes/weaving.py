@@ -9,11 +9,19 @@ expanding the prefix sum one index at a time, which yields the completions
 in lexicographic order; the sampled scan sums its drawn rows column by
 column.  Either way each operator is summed left to right over j, and the
 witness is the smallest assignment among the minimizers.
+
+For d <= 2 the exhaustive check first lists candidate rows from the cells of
+the arrangement of lines orthogonal to f_ij -+ f_i'j on the half-circle of
+directions: every weaving attaining min lambda_min or max lambda_max is
+pointwise optimal on a cell, and a cell's optimal frames tie for the optimum
+at its ends.  When these rows are fewer than m^n, it scans only them, column
+by column in sorted order; exhaustive_woven_check says what its report keeps.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -41,6 +49,8 @@ DEFAULT_CAP = 2**22
 # Bytes of the (K, d, d) float64 operator stack one scan chunk holds, per worker.
 CHUNK_BUDGET = 16 * 2**20
 _MAX_CHUNK = 16384
+# Slack of the cell path's near-optimal frames, relative to the largest trace.
+_TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -259,15 +269,92 @@ def _reduce_scan(family, chunks, examined, mode, seed=None) -> WeavingReport:
     return WeavingReport(woven, lower, upper, Partition(best_row, family.m), examined, mode, seed)
 
 
+def _cell_candidates(family: FrameFamily, outer: np.ndarray, total: int) -> np.ndarray | None:
+    """Sorted distinct assignment rows, for d <= 2, among which lie every
+    exact minimiser of lambda_min and maximiser of lambda_max over all
+    weavings; None when they would not be fewer than ``total`` = m^n, when
+    they or the squares below would not fit CHUNK_BUDGET, or when the
+    operators underflow.
+
+    For a unit x, x^T S_W x = sum_j <f_{W(j)j}, x>^2, so a weaving attaining
+    either extreme picks, at its extreme eigenvector x, a pointwise argmin
+    (argmax) of <f_ij, x>^2 at every j.  The squares of frames i and i' at
+    j tie only on the lines orthogonal to f_ij - f_i'j or f_ij + f_i'j, so
+    between two neighbouring such lines (an arc of the half-circle) each
+    argmin and argmax is fixed, and it ties for the optimum at both ends.
+    The rows are the products, at every line and at one reference
+    direction, of the frames within a slack of the optimum: _TIE_RTOL times
+    the largest weaving trace, far above the rounding of the computed lines
+    and squares.  Near ties can only add rows.  A frame whose rank-one term
+    at j is bit-identical to a smaller frame's (f_ij = +-f_kj) gives
+    bit-identical operators, so only the smaller frame, whose rows are
+    smaller, is kept.
+    """
+    v = family.stacked()
+    m, n, d = v.shape
+    trace = FrameFamily.largest_trace(v)[0]
+    # each direction gives a row per extreme, and its squares, with their two
+    # masked copies, must fit CHUNK_BUDGET too
+    directions_bound = 1 + n * m * (m - 1) if d == 2 else 1
+    if (
+        trace < np.finfo(float).tiny
+        or 2 * directions_bound >= total
+        or directions_bound * n * m > CHUNK_BUDGET // 32
+    ):
+        return None
+    terms = outer.reshape(m, n, d * d).view(np.int64)
+    kept = np.ones((m, n), dtype=bool)
+    for k in range(1, m):
+        kept[k] = ~np.any(kept[:k] & np.all(terms[:k] == terms[k], axis=2), axis=0)
+    directions = np.eye(d)[:1]
+    if d == 2:
+        i, k = np.triu_indices(m, 1)
+        normals = np.concatenate([v[i] - v[k], v[i] + v[k]]).reshape(-1, 2)
+        normals = normals[np.tile((kept[i] & kept[k]).ravel(), 2) & np.any(normals != 0, axis=1)]
+        lines = np.stack([-normals[:, 1], normals[:, 0]], axis=1)
+        directions = np.concatenate([directions, lines / np.hypot(*normals.T)[:, None]])
+    # a power of two brings the largest entry into [1/2, 1), clear of underflow
+    scale = np.frexp(np.max(np.abs(v)))[1]
+    sq = np.einsum("ijd,bd->bji", np.ldexp(v, -scale), directions) ** 2
+    slack = _TIE_RTOL * np.ldexp(trace, -2 * scale)
+    low = np.where(kept.T, sq, np.inf)
+    high = np.where(kept.T, sq, -np.inf)
+    ties = np.concatenate([
+        low <= low.min(axis=2, keepdims=True) + slack,
+        high >= high.max(axis=2, keepdims=True) - slack,
+    ])
+    if sum(map(math.prod, ties.sum(axis=2).tolist())) > CHUNK_BUDGET // (8 * n):
+        return None
+    rows = np.unique(np.concatenate([_product_rows(t) for t in ties]), axis=0)
+    return rows if len(rows) < total else None
+
+
+def _product_rows(ties: np.ndarray) -> np.ndarray:
+    """Every assignment row picking, at each index j, a frame marked in ``ties[j]``."""
+    rows = ties.argmax(axis=1)[None]
+    for j in np.flatnonzero(ties.sum(axis=1) > 1):
+        choices = np.flatnonzero(ties[j])
+        rows = np.repeat(rows, len(choices), axis=0)
+        rows[:, j] = np.tile(choices, len(rows) // len(choices))
+    return rows
+
+
 def exhaustive_woven_check(
     family: FrameFamily, cap: int = DEFAULT_CAP, threads: int = 1
 ) -> WeavingReport:
-    """Decide wovenness exactly by scanning all m^n assignments.
+    """Decide wovenness exactly, reporting what a scan of all m^n
+    assignments finds.
 
-    Each chunk is every completion of one fixed prefix, with as many free
-    indices as fit a (K, d, d) operator stack within CHUNK_BUDGET.  Chunks
-    run on a pool of ``threads`` workers, and the min/max reduction runs in
-    chunk order, so the report is identical for any thread count.
+    For d <= 2, whenever ``_cell_candidates`` lists fewer rows than m^n,
+    only those are scanned, in chunks of sorted rows: they hold every exact
+    extreme weaving, up to bit-identical operators, whose smallest row they
+    keep, so the report is the full scan's unless rounding ranks a weaving
+    outside them level with an extreme.  Otherwise, and for every d >= 3,
+    each chunk is every completion of one fixed prefix, with as many free
+    indices as fit a (K, d, d) operator stack within CHUNK_BUDGET.  Either
+    way ``cap`` bounds m^n, chunks run on a pool of ``threads`` workers,
+    and the min/max reduction runs in chunk order, so the report is
+    identical for any thread count.
     """
     if threads < 1:
         raise InvalidArgumentError("threads must be >= 1")
@@ -279,18 +366,29 @@ def exhaustive_woven_check(
         )
     outer = _rank_one_table(family)
     rows = _chunk_rows(family)
-    depth = 0
-    while depth < n and m ** (depth + 1) <= rows:
-        depth += 1
-    prefixes = list(itertools.product(range(m), repeat=n - depth))
+    candidates = _cell_candidates(family, outer, total) if family.dim <= 2 else None
+    if candidates is not None:
+        tasks = range(0, len(candidates), rows)
 
-    def run(prefix):
-        lo, tied, hi = _scan(_completions(outer, prefix))
-        suffix = np.unravel_index(tied[0], (m,) * depth)
-        return lo, prefix + tuple(map(int, suffix)), hi
+        def run(start):
+            digits = candidates[start : start + rows]
+            lo, tied, hi = _scan(_row_operators(outer, digits))
+            return lo, tuple(digits[tied[0]].tolist()), hi
+
+    else:
+        # a single frame has one weaving, so it has no free indices
+        depth = 0
+        while depth < n and 1 < m ** (depth + 1) <= rows:
+            depth += 1
+        tasks = list(itertools.product(range(m), repeat=n - depth))
+
+        def run(prefix):
+            lo, tied, hi = _scan(_completions(outer, prefix))
+            suffix = np.unravel_index(tied[0], (m,) * depth)
+            return lo, prefix + tuple(map(int, suffix)), hi
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return _reduce_scan(family, pool.map(run, prefixes), total, "exhaustive")
+        return _reduce_scan(family, pool.map(run, tasks), total, "exhaustive")
 
 
 def sampled_woven_estimate(family: FrameFamily, samples: int, seed: int) -> WeavingReport:

@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from support import clamped_shift_frame, counterexample_family, example_pair
-from wovenframes import Frame, FrameFamily
+from wovenframes import Frame, FrameFamily, weaving
 from wovenframes.cli import CERTIFY_METHODS, main
 from wovenframes.io import (
     family_to_dict,
@@ -167,21 +167,64 @@ class TestWeaveCheck:
         outs = {runner.invoke(main, args).output for _ in range(3)}
         assert len(outs) == 1
 
-    def test_thread_count_invariant_output(self, runner, pair_file, tmp_path):
+    def test_thread_count_invariant_output(self, runner, pair_file, tmp_path, monkeypatch):
         rng = np.random.default_rng(37)
-        # 2^15 words: two scan chunks
-        two_chunks = write_family(
-            tmp_path / "two_chunks.json",
+        # 2^15 words at d=2: the cell path scans a few candidate rows
+        cells = write_family(
+            tmp_path / "cells.json",
             FrameFamily([Frame(rng.normal(size=(15, 2))) for _ in range(2)]),
         )
         # identical frames at d=8: all 2^15 weavings tie exactly on lambda_min
         fr = Frame(rng.normal(size=(15, 8)))
         all_tied = write_family(tmp_path / "all_tied.json", FrameFamily([fr, fr]))
-        for path, words in ((pair_file, 8), (two_chunks, 2**15), (all_tied, 2**15)):
+        # 2^15 words at d=3: two flat scan chunks of 2^14
+        two_chunks = write_family(
+            tmp_path / "two_chunks.json",
+            FrameFamily([Frame(rng.normal(size=(15, 3))) for _ in range(2)]),
+        )
+        stacks = []
+        scan = weaving._scan
+
+        def recording_scan(s):
+            stacks.append(len(s))
+            return scan(s)
+
+        monkeypatch.setattr(weaving, "_scan", recording_scan)
+        for path, words in ((pair_file, 8), (cells, 2**15), (all_tied, 2**15), (two_chunks, 2**15)):
+            stacks.clear()
             one = runner.invoke(main, ["--threads", "1", "weave", "check", path])
             two = runner.invoke(main, ["--threads", "2", "weave", "check", path])
             assert json.loads(one.output)["result"]["partitions_examined"] == words
             assert one.output == two.output
+        assert stacks == [2**14] * 4
+
+    def test_cell_path_output_matches_the_flat_scan(self, runner, pair_file, tmp_path, monkeypatch):
+        rng = np.random.default_rng(79)
+        base = rng.normal(size=(12, 2))
+        near = FrameFamily([Frame(base), Frame(base + 0.3 * rng.normal(size=(12, 2)))])
+        # integer vectors with zero and parallel ones; frame 2 spans one line only
+        ints = rng.integers(-2, 3, size=(3, 7, 2)).astype(float)
+        ints[1, :4] = 2 * ints[0, :4]
+        ints[:, 5] = 0.0
+        ints[2, :, 1] = 0.0
+        paths = [
+            pair_file,
+            write_family(tmp_path / "near.json", near),
+            write_family(tmp_path / "ints.json", FrameFamily([Frame(x) for x in ints])),
+        ]
+
+        def outputs():
+            runs = [
+                runner.invoke(main, ["--threads", t, "weave", "check", path])
+                for path in paths
+                for t in ("1", "2")
+            ]
+            return [(r.exit_code, r.stdout, r.stderr) for r in runs]
+
+        cells = outputs()
+        monkeypatch.setattr(weaving, "_cell_candidates", lambda *args: None)
+        assert cells == outputs()
+        assert {code for code, _, _ in cells} == {0, 1}
 
     def test_fewer_than_one_thread_exit_two(self, runner, pair_file):
         # the group validates --threads, --samples and --seed for every mode

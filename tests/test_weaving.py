@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from support import (
     brute_force_woven,
@@ -239,17 +240,22 @@ class TestExhaustiveCheck:
             assert rep.universal_upper == pytest.approx(hi, abs=1e-10)
             assert rep.witness_partition.assignment == wit
 
-    def test_thread_count_invariance(self):
+    def test_thread_count_invariance(self, monkeypatch):
         rng = np.random.default_rng(37)
         one_chunk = FrameFamily([Frame(rng.normal(size=(6, 3))) for _ in range(2)])
-        # 2^15 words: two scan chunks, so the pool really splits the work
-        two_chunks = FrameFamily([Frame(rng.normal(size=(15, 2))) for _ in range(2)])
+        # 2^15 words at d=2: the cell path scans a few candidate rows instead
+        cells = FrameFamily([Frame(rng.normal(size=(15, 2))) for _ in range(2)])
         # 3^9 words: three chunks of 3^8 = 6,561 operators, not a power of two
         three_chunks = FrameFamily([Frame(rng.normal(size=(9, 3))) for _ in range(3)])
-        for fam in (one_chunk, two_chunks, three_chunks):
+        # 2^15 words at d=3: two flat chunks of 2^14, so the pool really splits the work
+        two_chunks = FrameFamily([Frame(rng.normal(size=(15, 3))) for _ in range(2)])
+        stacks = scanned_operators(monkeypatch)
+        for fam in (one_chunk, cells, three_chunks, two_chunks):
+            stacks.clear()
             reports = [exhaustive_woven_check(fam, threads=t) for t in (1, 2, 4)]
             for rep in reports[1:]:
                 assert rep == reports[0]
+        assert stacks == [2**14] * 6
 
     def test_chunks_fit_the_gather_budget(self, monkeypatch):
         # d^2 * 8 B = 12,800 B per operator: 1,310 operators per chunk, so the
@@ -304,6 +310,15 @@ class TestExhaustiveCheck:
                 rep = exhaustive_woven_check(fam, threads=t)
                 assert rep.witness_partition.assignment == (0,) * n
 
+    def test_single_frame_with_more_than_64_vectors(self):
+        # one weaving and no free indices, at d=2 and on the flat path at d=3
+        rng = np.random.default_rng(73)
+        for d in (2, 3):
+            f = Frame(rng.normal(size=(100, d)))
+            rep = exhaustive_woven_check(FrameFamily([f]))
+            assert rep.witness_partition.assignment == (0,) * 100
+            assert rep.universal_lower == pytest.approx(frame_bounds(f).lower, rel=1e-12)
+
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
@@ -313,6 +328,120 @@ class TestExhaustiveCheck:
             a, b = exhaustive_woven_check(fam), exhaustive_woven_check(permuted)
             assert abs(a.universal_lower - b.universal_lower) <= 1e-12 * (1 + a.universal_upper)
             assert abs(a.universal_upper - b.universal_upper) <= 1e-12 * (1 + a.universal_upper)
+
+
+def flat_scan(fam):
+    """The report of the flat scan over all m^n weavings: the cell path declines."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weaving, "_cell_candidates", lambda *args: None)
+        return exhaustive_woven_check(fam)
+
+
+def scanned_operators(monkeypatch):
+    """Record the size of every stack handed to the eigen kernel."""
+    sizes = []
+    scan = weaving._scan
+
+    def recording_scan(s):
+        sizes.append(len(s))
+        return scan(s)
+
+    monkeypatch.setattr(weaving, "_scan", recording_scan)
+    return sizes
+
+
+class TestCellPath:
+    def test_long_shape_scans_few_operators(self, monkeypatch):
+        # the shape of the exhaustive-long benchmark: 2,097,152 weavings
+        rng = np.random.default_rng(67)
+        base = rng.normal(size=(21, 2))
+        fam = FrameFamily([Frame(base), Frame(base + 0.3 * rng.normal(size=(21, 2)))])
+        sizes = scanned_operators(monkeypatch)
+        rep = exhaustive_woven_check(fam, threads=2)
+        assert 0 < sum(sizes) < 1000
+        assert rep.partitions_examined == 2**21
+        assert rep == flat_scan(fam)
+
+    def test_matches_the_flat_scan_on_random_families(self):
+        # normal frames, near copies of one base, and copies of it scaled by
+        # -1, 1, 1 + 1e-15 or 2, whose squares tie or nearly tie everywhere
+        rng = np.random.default_rng(83)
+        for trial in range(240):
+            d, m, kind = trial % 2 + 1, trial % 3 + 2, trial // 6 % 3
+            n = int(rng.integers((5, 4, 4)[m - 2], (10, 7, 5)[m - 2] + 1))
+            base = rng.normal(size=(n, d))
+            if kind == 0:
+                v = rng.normal(size=(m, n, d))
+            elif kind == 1:
+                v = base + 0.3 * rng.normal(size=(m, n, d))
+            else:
+                v = base * rng.choice([-1.0, 1.0, 1 + 1e-15, 2.0], size=(m, n, 1))
+            fam = FrameFamily([Frame(x) for x in v])
+            assert exhaustive_woven_check(fam) == flat_scan(fam)
+
+    def test_degenerate_families_take_the_cell_path(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        ints = rng.integers(-2, 3, size=(3, 6, 2)).astype(float)
+        ints[1, :3] = -ints[0, :3]  # +-duplicates
+        ints[2, 3:] = 2 * ints[0, 3:]  # parallel vectors
+        ints[:, 4] = 0.0  # zero vectors
+        same = Frame(rng.normal(size=(7, 2)))
+        families = [
+            [Frame(x) for x in ints],
+            [same] * 3,
+            [Frame(rng.integers(-2, 3, size=(5, 1)).astype(float)) for _ in range(4)],
+        ]
+        reports = []
+        for frames in families:
+            fam = FrameFamily(frames)
+            sizes = scanned_operators(monkeypatch)
+            reports.append(exhaustive_woven_check(fam))
+            assert sum(sizes) < fam.m**fam.size
+            assert reports[-1] == flat_scan(fam)
+        # identical frames: every weaving has bit-for-bit the same operator
+        assert reports[1].witness_partition.assignment == (0,) * 7
+
+    def test_d3_takes_the_flat_path(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(weaving, "_cell_candidates", lambda *args: calls.append(args))
+        exhaustive_woven_check(counterexample_family())
+        assert calls == []
+
+
+@st.composite
+def degenerate_families(draw):
+    """d in {1, 2}, m in 1..4, integer entries in -2..2, and either m identical
+    frames or frames tied to frame 0 index by index: copies, negations,
+    doubles (parallel) and zero vectors."""
+    d, m = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    n = draw(st.integers((1, 3, 3, 3)[m - 1], (8, 8, 5, 4)[m - 1]))
+    v = draw(arrays(np.float64, (m, n, d), elements=st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0])))
+    identical = draw(st.booleans())
+    if identical:
+        v[1:] = v[0]
+    else:
+        # link 0 leaves f_ij free; 1..4 make it f_0j, -f_0j, 2 f_0j or zero
+        links = draw(arrays(np.int64, (m - 1, n), elements=st.integers(0, 4)))
+        for i, j in zip(*np.nonzero(links)):
+            v[i + 1, j] = (1.0, -1.0, 2.0, 0.0)[links[i, j] - 1] * v[0, j]
+    return FrameFamily([Frame(x) for x in v]), identical
+
+
+@settings(max_examples=150, deadline=None)
+@given(degenerate_families())
+def test_cell_path_matches_the_flat_scan_and_brute_force(case):
+    fam, identical = case
+    rep = exhaustive_woven_check(fam)
+    assert rep == flat_scan(fam)
+    lo, hi, _ = brute_force_woven([fr.vectors for fr in fam.frames])
+    assert rep.universal_lower == pytest.approx(max(lo, 0.0), abs=1e-10)
+    assert rep.universal_upper == pytest.approx(hi, abs=1e-10)
+    # rounding may order exact ties differently in the two spectra, so the
+    # witness is checked to attain the bound rather than compared
+    own, _, _ = brute_force_woven([weave(fam, rep.witness_partition).vectors])
+    assert own == pytest.approx(lo, abs=1e-10)
+    if identical:
+        assert rep.witness_partition.assignment == (0,) * fam.size
 
 
 class TestSampledEstimate:
