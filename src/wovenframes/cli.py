@@ -70,7 +70,7 @@ class _OneLineErrors(click.Group):
         sys.exit(2)
 
 
-def _emit(command: str, inputs: dict, result: dict, positive: bool):
+def _emit(command: str, inputs: dict, result, positive: bool):
     click.echo(fio.render_report(command, inputs, result), nl=False)
     sys.exit(0 if positive else 1)
 
@@ -83,7 +83,7 @@ def _one_weaving(file, partition: str) -> tuple[FrameFamily, Partition, dict]:
     except ValueError:
         raise InvalidParamsError(f"partition must be a comma-separated word, got {partition!r}")
     p = Partition(assignment, family.m)
-    return family, p, {"file": str(file), "partition": list(p.assignment)}
+    return family, p, {"file": str(file), "partition": p}
 
 
 def _parse_csv_floats(text: str, name: str) -> list[float]:
@@ -127,10 +127,10 @@ def frames_info(opts, file):
         "vectors_per_frame": family.size,
         "num_frames": family.m,
         "frames": [
-            {"label": fr.label, "bounds": fio.bounds_to_dict(b), "is_frame": b.lower > 0.0}
+            {"label": fr.label, "bounds": b, "is_frame": b.lower > 0.0}
             for fr, b in zip(family.frames, bounds)
         ],
-        "bessel_upper_bound": float(bessel_upper_bound(family)),
+        "bessel_upper_bound": bessel_upper_bound(family),
     }
     _emit("frames info", {"file": str(file)}, result, positive=True)
 
@@ -153,7 +153,7 @@ def weave_check(opts, file, mode):
     else:
         report = sampled_woven_estimate(family, samples=opts["samples"], seed=opts["seed"])
         inputs = {"file": str(file), "mode": mode, "samples": opts["samples"], "seed": opts["seed"]}
-    _emit("weave check", inputs, fio.report_to_dict(report), positive=report.woven)
+    _emit("weave check", inputs, report, positive=report.woven)
 
 
 @weave_group.command("bounds")
@@ -164,7 +164,7 @@ def weave_bounds_cmd(opts, file, partition):
     """Optimal bounds of one weaving."""
     family, p, inputs = _one_weaving(file, partition)
     b = weaving_bounds(family, p)
-    result = {"bounds": fio.bounds_to_dict(b), "is_frame": b.lower > 0.0}
+    result = {"bounds": b, "is_frame": b.lower > 0.0}
     _emit("weave bounds", inputs, result, positive=True)
 
 
@@ -185,7 +185,7 @@ def weave_dual(opts, file, partition, alternate):
         dual = weaving_alternate_dual(family, p, coeffs, tol=opts["tol"])
         kind = "alternate"
         inputs["alternate"] = str(alternate)
-    result = {"kind": kind, "dual": fio.frame_to_dict(dual)}
+    result = {"kind": kind, "dual": dual}
     _emit("weave dual", inputs, result, positive=True)
 
 
@@ -197,7 +197,7 @@ def weave_tight(opts, file, partition):
     """Test one weaving for tightness."""
     family, p, inputs = _one_weaving(file, partition)
     a = is_tight_weaving(family, p, tol=opts["tol"])
-    result = {"tight": a is not None, "constant": a if a is None else float(a)}
+    result = {"tight": a is not None, "constant": a}
     _emit("weave tight", inputs, result, positive=a is not None)
 
 
@@ -244,7 +244,7 @@ def certify_cmd(opts, method, file, k, lambdas, mus, ops, universal, perturbed):
     if method == "dual-canonicals":
         f, g = two_frames()
         bounds = _resolve_universal(opts, FrameFamily([f, g]), universal)
-        inputs["universal"] = fio.bounds_to_dict(bounds)
+        inputs["universal"] = bounds
         cert = ct.certify_dual_canonicals(f, g, bounds)
     elif method == "op-characterization":
         if universal is None:
@@ -284,17 +284,17 @@ def certify_cmd(opts, method, file, k, lambdas, mus, ops, universal, perturbed):
             raise InvalidParamsError("invertible needs --ops <file>")
         operators = fio.parse_operators_file(ops)
         bounds = _resolve_universal(opts, family, universal)
-        inputs.update({"ops": str(ops), "universal": fio.bounds_to_dict(bounds)})
+        inputs.update({"ops": str(ops), "universal": bounds})
         cert, _ = ct.certify_invertible_stability(family, bounds, operators)
     else:  # synthesis-perturb
         if perturbed is None:
             raise InvalidParamsError("synthesis-perturb needs --perturbed <file>")
         other = fio.parse_frame_file(perturbed)
         bounds = _resolve_universal(opts, family, universal)
-        inputs.update({"perturbed": str(perturbed), "universal": fio.bounds_to_dict(bounds)})
+        inputs.update({"perturbed": str(perturbed), "universal": bounds})
         cert = ct.certify_synthesis_perturbation(family, other, bounds)
 
-    _emit("certify", inputs, fio.certificate_to_dict(cert), positive=cert.hypothesis_satisfied)
+    _emit("certify", inputs, cert, positive=cert.hypothesis_satisfied)
 
 
 if __name__ == "__main__":

@@ -7,22 +7,25 @@ numeric strings are parse errors.
 An operators file carries a top-level ``operators`` array of row-major
 matrices; a coefficients file a top-level ``coefficients`` matrix.
 
-Reports serialize with sorted keys and shortest round-trip float formatting,
-so identical inputs (and seed) give byte-identical output.
+A report's ``result`` is the object the library returned, and its fields are
+that object's fields: a dataclass renders as the dict of its fields, a
+Partition as its assignment row and an array as nested lists.  Reports
+serialize with sorted keys and shortest round-trip float formatting, so
+identical inputs (and seed) give byte-identical output.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .certify import Certificate
 from .errors import DimensionMismatchError, EmptyFamilyError, ParseError
-from .frames import Bounds, Frame
-from .weaving import FrameFamily, Partition, WeavingReport
+from .frames import Frame
+from .weaving import FrameFamily, Partition
 
 
 def _load_json(path) -> dict:
@@ -108,45 +111,23 @@ def parse_coefficients_file(path) -> np.ndarray:
 def family_to_dict(family: FrameFamily) -> dict:
     return {
         "dim": family.dim,
-        "frames": [frame_to_dict(fr) for fr in family.frames],
+        "frames": [{"label": fr.label, "vectors": fr.vectors.tolist()} for fr in family.frames],
     }
 
 
-def frame_to_dict(frame: Frame) -> dict:
-    return {
-        "label": frame.label,
-        "vectors": [[float(x) for x in row] for row in frame.vectors],
-    }
+def _plain(obj):
+    """JSON form of a result object: a Partition is its assignment row, an array
+    its nested lists, and any other dataclass the dict of its fields."""
+    if isinstance(obj, Partition):
+        return obj.assignment
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def bounds_to_dict(b: Bounds) -> dict:
-    return {"lower": float(b.lower), "upper": float(b.upper)}
-
-
-def report_to_dict(rep: WeavingReport) -> dict:
-    return {
-        "woven": rep.woven,
-        "universal_lower": float(rep.universal_lower),
-        "universal_upper": float(rep.universal_upper),
-        "witness_partition": list(rep.witness_partition.assignment),
-        "partitions_examined": rep.partitions_examined,
-        "mode": rep.mode,
-        "seed": rep.seed,
-    }
-
-
-def certificate_to_dict(cert: Certificate) -> dict:
-    return {
-        "method": cert.method,
-        "hypothesis_satisfied": cert.hypothesis_satisfied,
-        "margins": {k: float(v) for k, v in sorted(cert.margins.items())},
-        "guaranteed_lower": None if cert.guaranteed_lower is None else float(cert.guaranteed_lower),
-        "guaranteed_upper": None if cert.guaranteed_upper is None else float(cert.guaranteed_upper),
-        "notes": cert.notes,
-    }
-
-
-def render_report(command: str, inputs: dict, result: dict) -> str:
+def render_report(command: str, inputs: dict, result) -> str:
     """Deterministic JSON for one run: stable key order, round-trip floats."""
     doc = {
         "command": command,
@@ -154,4 +135,4 @@ def render_report(command: str, inputs: dict, result: dict) -> str:
         "result": result,
         "tool_version": __version__,
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, default=_plain) + "\n"

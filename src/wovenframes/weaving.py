@@ -437,21 +437,22 @@ def weaving_alternate_dual(
     s_inv, bounds = inverse_frame_operator(w, "weaving is not a frame, duals undefined")
     t_w = synthesis(w)
     d, n = t_w.shape
-    kernel = null_space_basis(t_w)
-    r = len(kernel)
     c = np.asarray(kernel_coefficients, dtype=float)
     if c.ndim != 2 or c.shape[0] != d:
         raise ShapeMismatchError(
             f"kernel coefficients need {d} rows (one per output coordinate), got shape {c.shape}"
         )
-    if c.shape[1] == r and r != n:
-        u = c @ np.array(kernel).reshape(r, n) if r else np.zeros((d, n))
-    elif c.shape[1] == n:
+    if c.shape[1] == n:
+        # a frame weaving has a kernel of dimension n - d < n, so n columns are raw
         u = c
     else:
-        raise ShapeMismatchError(
-            f"kernel coefficients must have {r} (kernel) or {n} (raw) columns, got {c.shape[1]}"
-        )
+        kernel = null_space_basis(t_w)
+        r = len(kernel)
+        if c.shape[1] != r:
+            raise ShapeMismatchError(
+                f"kernel coefficients must have {r} (kernel) or {n} (raw) columns, got {c.shape[1]}"
+            )
+        u = c @ np.array(kernel).reshape(r, n) if r else np.zeros((d, n))
     scale = 1.0 + np.sqrt(bounds.upper)  # 1 + ||T_W||
     residual = float(np.max(np.abs(t_w @ u.T))) if u.size else 0.0
     if residual > tol * scale:
@@ -466,12 +467,13 @@ def weaving_alternate_dual(
 
 
 def is_tight_weaving(family: FrameFamily, p: Partition, tol: float = DEFAULT_TOL):
-    """The tightness constant A when S_W = A I within tol, else None.
+    """The tightness constant A when A > 0 and ||S_W - A I|| <= tol * A, else None.
 
-    A is the least-squares scalar fit trace(S_W)/d before the residual test.
+    A is the least-squares scalar fit trace(S_W)/d.  The residual is tested
+    relative to A, so scaling every vector leaves the verdict unchanged.
     """
     s_w = weaving_operator(family, p)
     a = float(np.trace(s_w)) / family.dim
-    if operator_norm(s_w - a * np.eye(family.dim)) <= tol:
+    if a > 0.0 and operator_norm(s_w - a * np.eye(family.dim)) <= tol * a:
         return a
     return None

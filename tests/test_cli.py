@@ -5,13 +5,14 @@ import pytest
 from click.testing import CliRunner
 
 from support import clamped_shift_frame, counterexample_family, example_pair
-from wovenframes import Frame, FrameFamily, weaving
+from wovenframes import Bounds, Certificate, Frame, FrameFamily, Partition, WeavingReport, weaving
 from wovenframes.cli import CERTIFY_METHODS, main
 from wovenframes.io import (
     family_to_dict,
     parse_coefficients_file,
     parse_frame_file,
     parse_operators_file,
+    render_report,
 )
 from wovenframes.errors import (
     DimensionMismatchError,
@@ -546,3 +547,102 @@ class TestReportShape:
         assert doc["tool_version"] == "0.1.0"
         assert list(doc) == sorted(doc)
         assert res.output == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    # each expected text is what the per-type converters of 0.1.0 rendered for the same object
+    @pytest.mark.parametrize(
+        "result, expected",
+        [
+            (
+                WeavingReport(True, 0.1 + 0.2, 1 / 3, Partition((1, 0, 1), 2), 8, "sampled", 7),
+                """{
+  "command": "t",
+  "inputs": {},
+  "result": {
+    "mode": "sampled",
+    "partitions_examined": 8,
+    "seed": 7,
+    "universal_lower": 0.30000000000000004,
+    "universal_upper": 0.3333333333333333,
+    "witness_partition": [
+      1,
+      0,
+      1
+    ],
+    "woven": true
+  },
+  "tool_version": "0.1.0"
+}
+""",
+            ),
+            (
+                Certificate(
+                    "positivity",
+                    True,
+                    {"slack": np.float64(2.0) / 3, "tiny": 1e-17, "gap_1": 1e300},
+                    None,
+                    2.5,
+                    "a note",
+                ),
+                """{
+  "command": "t",
+  "inputs": {},
+  "result": {
+    "guaranteed_lower": null,
+    "guaranteed_upper": 2.5,
+    "hypothesis_satisfied": true,
+    "margins": {
+      "gap_1": 1e+300,
+      "slack": 0.6666666666666666,
+      "tiny": 1e-17
+    },
+    "method": "positivity",
+    "notes": "a note"
+  },
+  "tool_version": "0.1.0"
+}
+""",
+            ),
+            (
+                Bounds(np.float64(1 / 3), 2.0**0.5),
+                """{
+  "command": "t",
+  "inputs": {},
+  "result": {
+    "lower": 0.3333333333333333,
+    "upper": 1.4142135623730951
+  },
+  "tool_version": "0.1.0"
+}
+""",
+            ),
+            (
+                Frame(np.array([[1.0, 1 / 3], [-0.0, 1e-17]]), label=None),
+                """{
+  "command": "t",
+  "inputs": {},
+  "result": {
+    "label": null,
+    "vectors": [
+      [
+        1.0,
+        0.3333333333333333
+      ],
+      [
+        -0.0,
+        1e-17
+      ]
+    ]
+  },
+  "tool_version": "0.1.0"
+}
+""",
+            ),
+        ],
+        ids=["report", "certificate", "bounds", "frame"],
+    )
+    def test_result_objects_render_as_their_fields(self, result, expected):
+        assert render_report("t", {}, result) == expected
+
+    def test_unknown_result_type_is_refused(self):
+        with pytest.raises(TypeError):
+            render_report("t", {}, object())

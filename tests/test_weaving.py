@@ -581,6 +581,20 @@ class TestWeavingDuals:
         s_w = weaving_operator(fam, p)
         assert sum(s.shape == (1, 2, 2) and np.array_equal(s[0], s_w) for s in stacks) == 1
 
+    def test_raw_form_never_computes_the_kernel(self, monkeypatch):
+        def refused(m):
+            raise AssertionError("null_space_basis called for a raw U")
+
+        monkeypatch.setattr(weaving, "null_space_basis", refused)
+        fam, p = example_family(), Partition((0, 0, 1), 2)
+        # the selected vectors (1,0), (0,1), (1,-1) annihilate (1,-1,-1) and its multiples
+        raw = np.array([[1.0, -1.0, -1.0], [0.0, 0.0, 0.0]])
+        alt = weaving_alternate_dual(fam, p, raw)
+        ok, _ = is_dual_pair(weave(fam, p), alt)
+        assert ok
+        canon = weaving_canonical_dual(fam, p)
+        np.testing.assert_allclose(alt.vectors.T - canon.vectors.T, raw, atol=1e-12)
+
     def test_raw_matrix_outside_kernel_rejected(self):
         fam = example_family()
         p = Partition((0, 0, 1), 2)
@@ -604,6 +618,27 @@ class TestTightWeaving:
         g = Frame(2.0 * np.eye(2))
         a = is_tight_weaving(FrameFamily([f, g]), Partition((0, 0), 2))
         assert a == pytest.approx(0.25, abs=1e-12)
+
+    def test_scaled_down_example_is_not_tight(self):
+        # S_W has entries near 1e-12, so an absolute residual test would pass it
+        f, g = example_pair()
+        small = FrameFamily([Frame(1e-6 * f.vectors), Frame(1e-6 * g.vectors)])
+        for word in ((0, 0, 1), (0, 1, 1), (1, 0, 0)):
+            assert is_tight_weaving(example_family(), Partition(word, 2)) is None
+            assert is_tight_weaving(small, Partition(word, 2)) is None
+
+    def test_scaled_up_mercedes_benz_is_tight(self):
+        # rounding leaves a residual far above 1e-10 at this scale, but not above tol * A
+        angles = np.pi / 2 + np.arange(3) * 2 * np.pi / 3
+        mb = 1e4 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        fam = FrameFamily([Frame(mb), Frame(mb[::-1])])
+        p = Partition((0, 1, 0), 2)
+        assert np.linalg.norm(weaving_operator(fam, p) - 1.5e8 * np.eye(2), 2) > 1e-10
+        assert is_tight_weaving(fam, p) == pytest.approx(1.5e8, rel=1e-12)
+
+    def test_zero_weaving_is_not_tight(self):
+        zero = Frame(np.zeros((3, 2)))
+        assert is_tight_weaving(FrameFamily([zero, zero]), Partition((0, 1, 0), 2)) is None
 
 
 class TestCoefficientVector:
