@@ -21,7 +21,6 @@ from .certify import (
 from .frames import (
     Bounds,
     Frame,
-    analyze,
     canonical_dual,
     frame_bounds,
     frame_operator,
@@ -30,7 +29,6 @@ from .frames import (
     synthesis,
 )
 from .weaving import (
-    CoefficientVector,
     FrameFamily,
     Partition,
     WeavingReport,
@@ -38,7 +36,6 @@ from .weaving import (
     exhaustive_woven_check,
     is_tight_weaving,
     sampled_woven_estimate,
-    selection_matrix,
     weave,
     weaving_alternate_dual,
     weaving_bounds,

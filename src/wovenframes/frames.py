@@ -109,13 +109,3 @@ def is_dual_pair(f: Frame, g: Frame, tol: float = DEFAULT_TOL):
     witness = f.vectors.T @ g.vectors
     deviation = float(np.max(np.abs(witness - np.eye(f.dim))))
     return deviation <= tol, witness
-
-
-def analyze(frame: Frame, f) -> np.ndarray:
-    """Analysis coefficients <f, f_j> for all j."""
-    vec = np.asarray(f, dtype=float)
-    if vec.shape != (frame.dim,):
-        raise ShapeMismatchError(
-            f"vector of shape {vec.shape} does not match dimension {frame.dim}"
-        )
-    return frame.vectors @ vec

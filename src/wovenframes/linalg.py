@@ -5,7 +5,7 @@ The single-matrix primitives are ``sym_eig``/``sym_eig_bounds``,
 symmetric eigenproblems by cyclic Jacobi rotations, the last three on ``gram``,
 the package's one Gram product (frame operators are Gram matrices too);
 callers read inverses and their norms from one spectrum.  The wovenness scans
-solve their stacks of frame operators with LAPACK through np.linalg.eigvalsh.
+solve the frame operators they cannot rule out with LAPACK's eigvalsh.
 The package's numeric defaults are defined here and nowhere else: ``ZERO_RTOL``,
 the relative cut at or below which ``zero_threshold`` counts a value as zero,
 and ``DEFAULT_TOL``, the tolerance of identity tests such as T_F T_G^T = I.

@@ -8,7 +8,8 @@ splits the assignments by a fixed prefix and builds each chunk's operators by
 expanding the prefix sum one index at a time, which yields the completions
 in lexicographic order; the sampled scan sums its drawn rows column by
 column.  Either way each operator is summed left to right over j, and the
-witness is the smallest assignment among the minimizers.
+witness is the smallest assignment among the minimizers.  The flat
+exhaustive scan solves only operators that a batched test cannot rule out.
 
 For d <= 2 the exhaustive check first lists candidate rows from the cells of
 the arrangement of lines orthogonal to f_ij -+ f_i'j on the half-circle of
@@ -49,7 +50,7 @@ DEFAULT_CAP = 2**22
 # Bytes of the (K, d, d) float64 operator stack one scan chunk holds, per worker.
 CHUNK_BUDGET = 16 * 2**20
 _MAX_CHUNK = 16384
-# Slack of the cell path's near-optimal frames, relative to the largest trace.
+# Slack of cell-path ties and flat-scan shifts, relative to the largest trace.
 _TIE_RTOL = 1e-9
 
 
@@ -127,34 +128,6 @@ class Partition:
     def size(self) -> int:
         return len(self.assignment)
 
-    def block(self, i: int) -> tuple[int, ...]:
-        """sigma_i: the indices assigned to frame i."""
-        if not 0 <= i < self.num_frames:
-            raise IndexOutOfRangeError(f"frame index {i} out of range [0, {self.num_frames})")
-        return tuple(j for j, x in enumerate(self.assignment) if x == i)
-
-
-@dataclass(frozen=True)
-class CoefficientVector:
-    """Values indexed by (frame i, vector j), supported on j in sigma_i."""
-
-    values: np.ndarray
-    partition: Partition
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        m, n = self.partition.num_frames, self.partition.size
-        if v.shape != (m, n):
-            raise ShapeMismatchError(f"expected values of shape ({m}, {n}), got {v.shape}")
-        mask = np.zeros((m, n), dtype=bool)
-        mask[self.partition.assignment, np.arange(n)] = True
-        v = np.where(mask, v, 0.0)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.values**2)))
-
 
 @dataclass(frozen=True)
 class WeavingReport:
@@ -167,36 +140,15 @@ class WeavingReport:
     seed: int | None = None
 
 
-def _check_partition(family: FrameFamily, p: Partition):
+def weave(family: FrameFamily, p: Partition) -> Frame:
+    """The mixed frame whose j-th vector is f_{p[j], j}."""
     if p.num_frames != family.m or p.size != family.size:
         raise ShapeMismatchError(
             f"partition over {p.num_frames} frames / {p.size} indices does not match "
             f"family with m={family.m}, n={family.size}"
         )
-
-
-def weave(family: FrameFamily, p: Partition) -> Frame:
-    """The mixed frame whose j-th vector is f_{p[j], j}."""
-    _check_partition(family, p)
     rows = family.stacked()[list(p.assignment), np.arange(family.size)]
     return Frame(rows)
-
-
-def selection_matrix(p: Partition, i: int) -> np.ndarray:
-    """n x n diagonal 0/1 matrix selecting sigma_i."""
-    if not 0 <= i < p.num_frames:
-        raise IndexOutOfRangeError(f"frame index {i} out of range [0, {p.num_frames})")
-    diag = np.array([1.0 if x == i else 0.0 for x in p.assignment])
-    return np.diag(diag)
-
-
-def weaving_analyze(family: FrameFamily, p: Partition, f) -> CoefficientVector:
-    """Analysis coefficients <f, f_ij> on the support of the partition."""
-    _check_partition(family, p)
-    vec = np.asarray(f, dtype=float)
-    if vec.shape != (family.dim,):
-        raise ShapeMismatchError(f"vector of shape {vec.shape} does not match dim {family.dim}")
-    return CoefficientVector(family.stacked() @ vec, p)
 
 
 def weaving_operator(family: FrameFamily, p: Partition) -> np.ndarray:
@@ -246,14 +198,74 @@ def _row_operators(outer: np.ndarray, digits: np.ndarray) -> np.ndarray:
     return s
 
 
-def _scan(s: np.ndarray):
-    """Extrema of the spectra of a (K, d, d) stack of frame operators.
-
-    Returns (min lambda_min, indices attaining it, max lambda_max).
+def _scan(s: np.ndarray, cuts=None):
+    """Extrema of the spectra of a (K, d, d) stack of frame operators:
+    (min lambda_min, indices attaining it, max lambda_max).  Only operators
+    failing a ``_positive_definite`` test in ``cuts`` are solved (the first
+    alone if none fails), as a pass rules out an extreme or a tie.
     """
-    w = np.linalg.eigvalsh(s)
+    kept = np.arange(len(s))
+    if cuts is not None:
+        flagged = ~_positive_definite(s, *cuts[0])
+        if not flagged.all():
+            flagged |= ~_positive_definite(s, *cuts[1])
+        kept = np.flatnonzero(flagged) if flagged.any() else kept[:1]
+    w = np.linalg.eigvalsh(s if len(kept) == len(s) else s[kept])
     lo = float(w[:, 0].min())
-    return lo, np.flatnonzero(w[:, 0] == lo), float(w[:, -1].max())
+    return lo, kept[w[:, 0] == lo], float(w[:, -1].max())
+
+
+def _positive_definite(s: np.ndarray, scale: float, shift: float) -> np.ndarray:
+    """Whether unpivoted elimination keeps every pivot of A = scale S - shift I
+    positive, for each S of a (K, d, d) stack, on a (d, d, K) copy of its lower
+    triangle.  A diagonal entry only loses a_ik^2 / pivot >= 0, so rounding,
+    overflow and NaN can only fail.  A pass gives Cholesky factors, so A + E
+    > 0 for some ||E|| <= 2d(d + 1) eps ||A|| (Higham, ch. 10); eigvalsh errs
+    by about d eps ||A||.  The scan has ||A|| <= 2, so for d < 10^5 both are
+    far below its slack 1e-9 T, T in [1/2, 1), so a pass puts the computed
+    lambda_min (lambda_max) strictly beyond the shift's attained eigenvalue.
+    """
+    k, d, _ = s.shape
+    a, ok = np.empty((d, d, k)), np.ones(k, dtype=bool)
+    with np.errstate(all="ignore"):
+        for i in range(d):
+            np.multiply(s[:, i, : i + 1].T, scale, out=a[i, : i + 1])
+            a[i, i] -= shift
+        for j in range(d):
+            ok &= a[j, j] > 0
+            if not ok.any():
+                break
+            l = a[j + 1 :, j] / a[j, j]
+            for i in range(j + 1, d):
+                a[i, j + 1 : i + 1] -= l[i - j - 1] * a[j + 1 : i + 1, j]
+    return ok
+
+
+def _descent_cuts(family: FrameFamily, outer: np.ndarray):
+    """(scale, shift) of ``_scan``'s tests c S - c t_lo I and c t_hi I - c S,
+    where c = 2^-e puts the largest weaving trace T in [1/2, 1), or None if
+    T is subnormal.  From each constant weaving, descent moves W to the
+    pointwise argmin of <f_ij, x>^2 at the eigenvector x of lambda_min(S_W),
+    which cannot raise lambda_min, until the rows stop improving; ascent does
+    so for lambda_max.  Solving the 2m rows as the scan does gives t_lo =
+    min lambda_min + slack, t_hi = max lambda_max - slack, slack = _TIE_RTOL T.
+    """
+    v = family.stacked()
+    trace = FrameFamily.largest_trace(v)[0]
+    if trace < np.finfo(float).tiny:
+        return None
+    lower = (np.arange(2 * family.m) < family.m)[:, None]
+    rows, total = np.tile(np.arange(family.m)[:, None], (2, family.size)), np.inf
+    while True:
+        w, x = np.linalg.eigh(_row_operators(outer, rows))
+        if not (value := np.where(lower[:, 0], w[:, 0], -w[:, -1]).sum()) < total:
+            break
+        total = value
+        sq = np.einsum("ijd,kd->kji", v, np.where(lower, x[:, :, 0], x[:, :, -1])) ** 2
+        rows = np.where(lower, sq.argmin(axis=2), sq.argmax(axis=2))
+    w = np.linalg.eigvalsh(_row_operators(outer, rows))
+    slack, scale = _TIE_RTOL * trace, np.ldexp(1.0, -int(np.frexp(trace)[1]))
+    return (scale, (w[:, 0].min() + slack) * scale), (-scale, (slack - w[:, -1].max()) * scale)
 
 
 def _reduce_scan(family, chunks, examined, mode, seed=None) -> WeavingReport:
@@ -351,10 +363,10 @@ def exhaustive_woven_check(
     keep, so the report is the full scan's unless rounding ranks a weaving
     outside them level with an extreme.  Otherwise, and for every d >= 3,
     each chunk is every completion of one fixed prefix, with as many free
-    indices as fit a (K, d, d) operator stack within CHUNK_BUDGET.  Either
-    way ``cap`` bounds m^n, chunks run on a pool of ``threads`` workers,
-    and the min/max reduction runs in chunk order, so the report is
-    identical for any thread count.
+    indices as fit a (K, d, d) operator stack within CHUNK_BUDGET, of which
+    ``_scan`` solves only those that could be extreme.  Either way ``cap``
+    bounds m^n, chunks run on a pool of ``threads`` workers, and the min/max
+    reduction runs in chunk order, so any thread count gives the same report.
     """
     if threads < 1:
         raise InvalidArgumentError("threads must be >= 1")
@@ -381,9 +393,10 @@ def exhaustive_woven_check(
         while depth < n and 1 < m ** (depth + 1) <= rows:
             depth += 1
         tasks = list(itertools.product(range(m), repeat=n - depth))
+        cuts = _descent_cuts(family, outer)
 
         def run(prefix):
-            lo, tied, hi = _scan(_completions(outer, prefix))
+            lo, tied, hi = _scan(_completions(outer, prefix), cuts)
             suffix = np.unravel_index(tied[0], (m,) * depth)
             return lo, prefix + tuple(map(int, suffix)), hi
 

@@ -14,7 +14,15 @@ import itertools
 
 import numpy as np
 
-from wovenframes import Frame, FrameFamily, exhaustive_woven_check, frame_bounds
+from wovenframes import (
+    Frame,
+    FrameFamily,
+    Partition,
+    WeavingReport,
+    exhaustive_woven_check,
+    frame_bounds,
+)
+from wovenframes.linalg import zero_threshold
 
 
 def brute_force_woven(vector_stacks):
@@ -34,6 +42,26 @@ def brute_force_woven(vector_stacks):
             lo, witness = low, assign
         hi = max(hi, sv[0] ** 2)
     return float(lo), float(hi), witness
+
+
+def full_flat_scan(family):
+    """The report of a flat scan that solves all m^n weaving operators with
+    one eigvalsh call: rows in lexicographic order, each operator summed
+    left to right over j as the package's scans sum it, and the first row
+    attaining min lambda_min as the witness."""
+    v = family.stacked()
+    m, n, _ = v.shape
+    # einsum sums each product onto +0, so a -0 product enters as +0 just as
+    # in the package's table; eigvalsh can tell the two zeros apart
+    outer = np.einsum("ijd,ije->ijde", v, v)
+    rows = np.array(list(itertools.product(range(m), repeat=n)))
+    s = outer[rows[:, 0], 0]
+    for j in range(1, n):
+        s += outer[rows[:, j], j]
+    w = np.linalg.eigvalsh(s)
+    lower, upper = max(float(w[:, 0].min()), 0.0), max(float(w[:, -1].max()), 0.0)
+    witness = Partition(tuple(rows[np.argmin(w[:, 0])].tolist()), m)
+    return WeavingReport(lower > zero_threshold(upper), lower, upper, witness, m**n, "exhaustive")
 
 
 def gather_operators(outer, digits):

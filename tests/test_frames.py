@@ -5,7 +5,6 @@ from support import example_pair
 from wovenframes import (
     Bounds,
     Frame,
-    analyze,
     canonical_dual,
     frame_bounds,
     frame_operator,
@@ -85,8 +84,8 @@ class TestFrameBounds:
             fr = Frame(rng.normal(size=(6, 3)))
             b = frame_bounds(fr)
             w, v = np.linalg.eigh(frame_operator(fr))
-            lo = np.sum(analyze(fr, v[:, 0]) ** 2)
-            hi = np.sum(analyze(fr, v[:, -1]) ** 2)
+            lo = np.sum((fr.vectors @ v[:, 0]) ** 2)
+            hi = np.sum((fr.vectors @ v[:, -1]) ** 2)
             assert lo == pytest.approx(b.lower, abs=1e-9 * (1 + b.upper))
             assert hi == pytest.approx(b.upper, abs=1e-9 * (1 + b.upper))
 
@@ -132,8 +131,8 @@ class TestCanonicalDual:
                 continue
             dual = canonical_dual(fr)
             vec = rng.normal(size=4)
-            via_dual = dual.vectors.T @ analyze(fr, vec)
-            via_frame = fr.vectors.T @ analyze(dual, vec)
+            via_dual = dual.vectors.T @ (fr.vectors @ vec)
+            via_frame = fr.vectors.T @ (dual.vectors @ vec)
             assert np.max(np.abs(via_dual - vec)) <= 1e-10
             assert np.max(np.abs(via_frame - vec)) <= 1e-10
 
@@ -208,31 +207,16 @@ class TestIsDualPair:
 
 
 class TestAnalyze:
-    def test_standard_basis(self):
-        np.testing.assert_array_equal(analyze(Frame(np.eye(2)), [3.0, 4.0]), [3.0, 4.0])
-
-    def test_inner_products(self):
-        f, _ = example_pair()
-        np.testing.assert_array_equal(analyze(f, [1.0, 1.0]), [1.0, 1.0, 2.0])
-
-    def test_zero_vector(self):
-        f, _ = example_pair()
-        np.testing.assert_array_equal(analyze(f, [0.0, 0.0]), [0.0, 0.0, 0.0])
-
     def test_norm_between_bounds(self):
+        # the analysis coefficients <f, f_j> of any f satisfy the frame inequality
         rng = np.random.default_rng(10)
         for _ in range(50):
             fr = Frame(rng.normal(size=(5, 3)))
             b = frame_bounds(fr)
             vec = rng.normal(size=3)
-            coeff_norm = float(np.sum(analyze(fr, vec) ** 2))
+            coeff_norm = float(np.sum((fr.vectors @ vec) ** 2))
             vec_norm = float(np.sum(vec**2))
             assert b.lower * vec_norm - 1e-9 <= coeff_norm <= b.upper * vec_norm + 1e-9
-
-    def test_shape_mismatch(self):
-        f, _ = example_pair()
-        with pytest.raises(ShapeMismatchError):
-            analyze(f, [1.0, 2.0, 3.0])
 
 
 class TestFrameValidation:

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from support import (
     brute_force_woven,
     counterexample_family,
     example_pair,
+    full_flat_scan,
     gather_operators,
     random_woven_family,
 )
@@ -25,7 +27,6 @@ from wovenframes import (
     is_dual_pair,
     is_tight_weaving,
     sampled_woven_estimate,
-    selection_matrix,
     weave,
     weaving_alternate_dual,
     weaving_bounds,
@@ -41,7 +42,6 @@ from wovenframes.errors import (
     ShapeMismatchError,
 )
 from wovenframes import linalg, weaving
-from wovenframes.weaving import CoefficientVector, weaving_analyze
 
 
 def example_family():
@@ -51,9 +51,13 @@ def example_family():
 
 class TestPartition:
     def test_blocks(self):
-        p = Partition((0, 0, 1), 2)
-        assert p.block(0) == (0, 1)
-        assert p.block(1) == (2,)
+        # sigma_i, the indices assigned to frame i, take their vectors from frame i
+        fam = counterexample_family()
+        w = weave(fam, Partition((0, 0, 1), 2))
+        for i, block in enumerate([[0, 1], [2]]):
+            np.testing.assert_array_equal(w.vectors[block], fam.frames[i].vectors[block])
+            other = fam.frames[1 - i].vectors[block[-1]]
+            assert not np.array_equal(w.vectors[block[-1]], other)
 
     def test_out_of_range(self):
         with pytest.raises(IndexOutOfRangeError):
@@ -96,26 +100,6 @@ class TestWeave:
             weave(example_family(), Partition((0, 0, 1, 0), 2))
 
 
-class TestSelectionMatrix:
-    def test_basic(self):
-        p = Partition((0, 0, 1), 2)
-        np.testing.assert_array_equal(selection_matrix(p, 0), np.diag([1.0, 1.0, 0.0]))
-
-    def test_full_and_empty_blocks(self):
-        p = Partition((0, 0, 0), 2)
-        np.testing.assert_array_equal(selection_matrix(p, 0), np.eye(3))
-        np.testing.assert_array_equal(selection_matrix(p, 1), np.zeros((3, 3)))
-
-    def test_partition_of_identity(self):
-        p = Partition((0, 1, 2, 1), 3)
-        total = sum(selection_matrix(p, i) for i in range(3))
-        np.testing.assert_array_equal(total, np.eye(4))
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexOutOfRangeError):
-            selection_matrix(Partition((0, 0, 1), 2), 2)
-
-
 class TestWeavingOperator:
     def test_example_weaving(self):
         s = weaving_operator(example_family(), Partition((0, 0, 1), 2))
@@ -138,11 +122,11 @@ class TestWeavingOperator:
             m, n, d = 2, 4, 3
             fam = FrameFamily([Frame(rng.normal(size=(n, d))) for _ in range(m)])
             p = Partition(tuple(rng.integers(0, m, size=n)), m)
+            # D_i: the diagonal 0/1 matrix selecting the indices assigned to frame i
+            selections = [np.diag((np.array(p.assignment) == i).astype(float)) for i in range(m)]
             via_ops = sum(
-                fam.frames[i].vectors.T
-                @ selection_matrix(p, i)
-                @ (fam.frames[i].vectors.T @ selection_matrix(p, i)).T
-                for i in range(m)
+                fam.frames[i].vectors.T @ d_i @ (fam.frames[i].vectors.T @ d_i).T
+                for i, d_i in enumerate(selections)
             )
             np.testing.assert_allclose(weaving_operator(fam, p), via_ops, atol=1e-12)
 
@@ -265,9 +249,9 @@ class TestExhaustiveCheck:
         stacks = []
         scan = weaving._scan
 
-        def recording_scan(s):
+        def recording_scan(s, *cuts):
             stacks.append(s.nbytes)
-            return scan(s)
+            return scan(s, *cuts)
 
         monkeypatch.setattr(weaving, "_scan", recording_scan)
         reports = [exhaustive_woven_check(fam, threads=t) for t in (1, 2)]
@@ -342,9 +326,9 @@ def scanned_operators(monkeypatch):
     sizes = []
     scan = weaving._scan
 
-    def recording_scan(s):
+    def recording_scan(s, *cuts):
         sizes.append(len(s))
-        return scan(s)
+        return scan(s, *cuts)
 
     monkeypatch.setattr(weaving, "_scan", recording_scan)
     return sizes
@@ -406,6 +390,131 @@ class TestCellPath:
         monkeypatch.setattr(weaving, "_cell_candidates", lambda *args: calls.append(args))
         exhaustive_woven_check(counterexample_family())
         assert calls == []
+
+
+def flat_families(rng, m, n, d):
+    """Seeded d >= 3 families of each kind the scan's cuts must survive."""
+    base = rng.normal(size=(n, d))
+    ints = np.repeat(rng.integers(-2, 3, size=(1, n, d)).astype(float), m, axis=0)
+    ints[1:, : n // 2] *= -1  # +-duplicates of frame 0
+    ints[1:, n // 2 :] = rng.integers(-2, 3, size=(m - 1, n - n // 2, d))
+    zeros = rng.normal(size=(m, n, d))
+    zeros[:, ::3] = 0.0
+    zeros[1, 1] = 0.0
+    return {
+        "normal": rng.normal(size=(m, n, d)),
+        "near-copy": base + 1e-9 * rng.normal(size=(m, n, d)),
+        "identical": np.repeat(base[None], m, axis=0),
+        "integer +-duplicates": ints,
+        "scaled by 2^60": 2.0**60 * rng.normal(size=(m, n, d)),
+        "scaled by 2^-60": 2.0**-60 * rng.normal(size=(m, n, d)),
+        "zero vectors": zeros,
+    }
+
+
+class TestFlatScanCuts:
+    @pytest.mark.parametrize("m, n, d", [(2, 10, 3), (2, 9, 6), (3, 6, 4), (2, 5, 7), (3, 4, 8)])
+    def test_matches_a_full_eigensolve(self, monkeypatch, m, n, d):
+        # 64 operators per chunk, so every family splits into several chunks;
+        # (2, 5, 7) and (3, 4, 8) have n < d, so no weaving is a frame
+        monkeypatch.setattr(weaving, "_MAX_CHUNK", 64)
+        rng = np.random.default_rng(89 + 10 * n + d)
+        for kind, v in flat_families(rng, m, n, d).items():
+            fam = FrameFamily([Frame(x) for x in v])
+            expected = full_flat_scan(fam)
+            for t in (1, 2):
+                assert exhaustive_woven_check(fam, threads=t) == expected, (kind, t)
+
+    def test_subnormal_operators_are_all_solved(self):
+        # a largest trace below the smallest normal float leaves no room for
+        # the slack, so the scan solves every operator, without a warning
+        rng = np.random.default_rng(109)
+        for scale in (1e-155, 1e-160, 1e-162):
+            fam = FrameFamily([Frame(scale * rng.normal(size=(8, 3))) for _ in range(2)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert exhaustive_woven_check(fam) == full_flat_scan(fam)
+
+    def test_rules_out_most_operators(self, monkeypatch):
+        rng = np.random.default_rng(97)
+        base = rng.normal(size=(12, 5))
+        fam = FrameFamily([Frame(base), Frame(base + 0.3 * rng.normal(size=(12, 5)))])
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording_eigvalsh(s):
+            solved.append(len(s) if s.ndim == 3 else 1)
+            return eigvalsh(s)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+        rep = exhaustive_woven_check(fam)
+        monkeypatch.undo()
+        assert rep == full_flat_scan(fam)
+        # the descent's 2m rows, then few of the 4,096 operators
+        assert solved[0] == 4 and sum(solved[1:]) < 4096 // 20
+
+
+class TestPositiveDefinite:
+    """weaving._positive_definite against eigvalsh of scale S - shift I."""
+
+    @staticmethod
+    def spectrum(s, scale, shift):
+        return np.linalg.eigvalsh(scale * s - shift * np.eye(s.shape[1]))
+
+    def test_agrees_with_eigvalsh_away_from_zero(self):
+        rng = np.random.default_rng(101)
+        for d in range(1, 9):
+            x = rng.normal(size=(400, d, d + 1))
+            sym = rng.normal(size=(400, d, d))
+            for s in (x @ x.transpose(0, 2, 1), sym + sym.transpose(0, 2, 1)):
+                for scale, q in ((1.0, 0.3), (0.5, 0.7), (-1.0, 0.5)):
+                    shift = np.quantile(self.spectrum(s, scale, 0.0)[:, 0], q)
+                    low = self.spectrum(s, scale, shift)[:, 0]
+                    ok = weaving._positive_definite(s, scale, shift)
+                    tol = 1e-12 * np.max(np.abs(s))
+                    assert np.all(low[ok] > -tol)
+                    assert np.all(ok[low > tol])
+                    assert 0 < ok.sum() < len(s)
+
+    def test_singular_and_indefinite_fail(self):
+        rng = np.random.default_rng(103)
+        x = rng.normal(size=(50, 6, 4))
+        singular = x @ x.transpose(0, 2, 1)
+        trace = np.trace(singular, axis1=1, axis2=2).max()
+        assert not weaving._positive_definite(singular, 1.0, 1e-9 * trace).any()
+        assert not weaving._positive_definite(np.zeros((3, 4, 4)), 1.0, 0.0).any()
+        indefinite = np.array([np.diag([1.0, -1.0, 2.0]), [[1.0, 2, 0], [2, 1, 0], [0, 0, 1]]])
+        assert not weaving._positive_definite(indefinite, 1.0, 0.0).any()
+        assert not weaving._positive_definite(-indefinite, -1.0, 0.0).any()
+
+    def test_one_by_one(self):
+        s = np.array([-1.0, 0.0, 5e-324, 1e-300, 3.0]).reshape(-1, 1, 1)
+        for shift in (0.0, 1e-300, 2.0):
+            expected = s[:, 0, 0] - shift > 0
+            np.testing.assert_array_equal(weaving._positive_definite(s, 1.0, shift), expected)
+
+    def test_overflow_and_nan_fail_quietly(self):
+        # tiny pivots make the multipliers overflow to inf, and inf - inf is NaN
+        s = np.array([
+            [[1e-300, 1e200], [1e200, 1.0]],
+            [[5e-324, 1e300], [1e300, 1e300]],
+            [[1e300, 1e300], [1e300, 1e300]],
+        ])
+        with np.errstate(all="raise"):
+            ok = weaving._positive_definite(s, 1.0, 0.0)
+            assert not ok.any()
+            assert not weaving._positive_definite(s, 1e10, -1.0).any()
+
+    def test_reads_only_the_lower_triangle(self):
+        rng = np.random.default_rng(107)
+        x = rng.normal(size=(200, 5, 5))
+        s = x @ x.transpose(0, 2, 1)
+        shift = np.median(np.linalg.eigvalsh(s)[:, 0])
+        poisoned = s.copy()
+        poisoned[:, np.triu_indices(5, 1)[0], np.triu_indices(5, 1)[1]] = np.nan
+        np.testing.assert_array_equal(
+            weaving._positive_definite(poisoned, 1.0, shift), weaving._positive_definite(s, 1.0, shift)
+        )
 
 
 @st.composite
@@ -640,18 +749,3 @@ class TestTightWeaving:
         zero = Frame(np.zeros((3, 2)))
         assert is_tight_weaving(FrameFamily([zero, zero]), Partition((0, 1, 0), 2)) is None
 
-
-class TestCoefficientVector:
-    def test_support_masking(self):
-        p = Partition((0, 1), 2)
-        cv = CoefficientVector(np.ones((2, 2)), p)
-        np.testing.assert_array_equal(cv.values, [[1.0, 0.0], [0.0, 1.0]])
-
-    def test_weaving_analyze(self):
-        fam = example_family()
-        p = Partition((0, 0, 1), 2)
-        cv = weaving_analyze(fam, p, [1.0, 1.0])
-        # selected vectors are (1,0), (0,1), (1,-1)
-        np.testing.assert_allclose(cv.values[0], [1.0, 1.0, 0.0], atol=1e-14)
-        np.testing.assert_allclose(cv.values[1], [0.0, 0.0, 0.0], atol=1e-14)
-        assert cv.norm() == pytest.approx(np.sqrt(2.0), abs=1e-12)
