@@ -209,7 +209,7 @@ def certify_operator_family(f: Frame, operators, k: int) -> Certificate:
 
     V is the Moore-Penrose left inverse of U_k, which minimizes ||V|| and so
     gives the weakest possible hypothesis threshold: ||V|| = 1/sigma_min(U_k),
-    with sigma taken from U_k^T U_k.
+    with sigma taken from the SVD of U_k.
     With a single operator the threshold is vacuous and is not reported.
     """
     ops = _operators(operators, f.dim)

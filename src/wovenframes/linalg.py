@@ -1,10 +1,11 @@
 """Dense real kernels for small matrices.
 
-The single-matrix primitives are ``sym_eig``/``sym_eig_bounds``,
-``singular_values``/``operator_norm`` and ``null_space_basis``.  All solve
-symmetric eigenproblems by cyclic Jacobi rotations, the last three on ``gram``,
-the package's one Gram product (frame operators are Gram matrices too);
-callers read inverses and their norms from one spectrum.  The wovenness scans
+The single-matrix primitives are ``sym_eig``/``sym_eig_bounds`` and
+``null_space_basis``, which solve symmetric eigenproblems by cyclic Jacobi
+rotations, the last on ``gram``, the package's one Gram product (frame operators
+are Gram matrices too), and ``singular_values``/``operator_norm``, which take
+LAPACK's SVD of the matrix itself, so a small sigma keeps its relative accuracy.
+Callers read inverses and their norms from one spectrum.  The wovenness scans
 solve the frame operators they cannot rule out with LAPACK's eigvalsh.
 The package's numeric defaults are defined here and nowhere else: ``ZERO_RTOL``,
 the relative cut at or below which ``zero_threshold`` counts a value as zero,
@@ -136,10 +137,8 @@ def operator_norm(m) -> float:
 
 
 def singular_values(m) -> np.ndarray:
-    """All singular values, descending, from the smaller of M M^T / M^T M."""
-    a = as_matrix(m)
-    w, _ = sym_eig(gram(a.T if a.shape[0] <= a.shape[1] else a), vectors=False)
-    return np.sqrt(np.maximum(w[::-1], 0.0))
+    """All singular values, descending."""
+    return np.linalg.svd(as_matrix(m), compute_uv=False)
 
 
 def null_space_basis(m) -> list[np.ndarray]:

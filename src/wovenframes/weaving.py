@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,13 +56,14 @@ _TIE_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class FrameFamily:
-    """m frames sharing (dim, size).
-
-    The largest trace of any weaving operator, sum_j max_i |f_ij|^2, must stay
-    finite when squared, since the eigensolvers square operator entries.
+    """m frames sharing (dim, size), their (m, n, d) ``stack`` of vectors, and
+    the largest ``trace`` of a weaving operator, sum_j max_i |f_ij|^2, which
+    must stay finite when squared, since the eigensolvers square operator entries.
     """
 
     frames: tuple[Frame, ...]
+    stack: np.ndarray = field(compare=False, repr=False)
+    trace: float = field(compare=False, repr=False)
 
     def __init__(self, frames):
         frames = tuple(frames)
@@ -74,12 +75,16 @@ class FrameFamily:
                 raise ShapeMismatchError(
                     f"all frames must share shape ({d}, {n}), got ({fr.dim}, {fr.size})"
                 )
-        object.__setattr__(self, "frames", frames)
-        trace, overflows = self.largest_trace(self.stacked())
+        stack = np.stack([fr.vectors for fr in frames])
+        stack.setflags(write=False)
+        trace, overflows = self.largest_trace(stack)
         if overflows:
             raise InvalidArgumentError(
                 f"frame vectors too large: the largest weaving trace {trace:.3e} overflows when squared"
             )
+        object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "trace", trace)
 
     @staticmethod
     def largest_trace(stack: np.ndarray) -> tuple[float, bool]:
@@ -99,10 +104,6 @@ class FrameFamily:
     @property
     def size(self) -> int:
         return self.frames[0].size
-
-    def stacked(self) -> np.ndarray:
-        """(m, n, d) array of all vectors."""
-        return np.stack([fr.vectors for fr in self.frames])
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,7 @@ def weave(family: FrameFamily, p: Partition) -> Frame:
             f"partition over {p.num_frames} frames / {p.size} indices does not match "
             f"family with m={family.m}, n={family.size}"
         )
-    rows = family.stacked()[list(p.assignment), np.arange(family.size)]
+    rows = family.stack[list(p.assignment), np.arange(family.size)]
     return Frame(rows)
 
 
@@ -166,8 +167,7 @@ def bessel_upper_bound(family: FrameFamily) -> float:
 
 
 def _rank_one_table(family: FrameFamily) -> np.ndarray:
-    v = family.stacked()
-    return np.einsum("ijd,ije->ijde", v, v)
+    return np.einsum("ijd,ije->ijde", family.stack, family.stack)
 
 
 def _chunk_rows(family: FrameFamily) -> int:
@@ -215,6 +215,14 @@ def _scan(s: np.ndarray, cuts=None):
     return lo, kept[w[:, 0] == lo], float(w[:, -1].max())
 
 
+def _scan_rows(outer: np.ndarray, digits: np.ndarray):
+    """``_scan``, uncut, of a (K, n) array of assignment rows, with the smallest tied row."""
+    lo, tied, hi = _scan(_row_operators(outer, digits))
+    tied = digits[tied]
+    # np.lexsort sorts on its last key first, so column 0 goes last
+    return lo, tuple(tied[np.lexsort(tied.T[::-1])[0]].tolist()), hi
+
+
 def _positive_definite(s: np.ndarray, scale: float, shift: float) -> np.ndarray:
     """Whether unpivoted elimination keeps every pivot of A = scale S - shift I
     positive, for each S of a (K, d, d) stack, on a (d, d, K) copy of its lower
@@ -243,17 +251,13 @@ def _positive_definite(s: np.ndarray, scale: float, shift: float) -> np.ndarray:
 
 def _descent_cuts(family: FrameFamily, outer: np.ndarray):
     """(scale, shift) of ``_scan``'s tests c S - c t_lo I and c t_hi I - c S,
-    where c = 2^-e puts the largest weaving trace T in [1/2, 1), or None if
-    T is subnormal.  From each constant weaving, descent moves W to the
-    pointwise argmin of <f_ij, x>^2 at the eigenvector x of lambda_min(S_W),
-    which cannot raise lambda_min, until the rows stop improving; ascent does
-    so for lambda_max.  Solving the 2m rows as the scan does gives t_lo =
+    where c = 2^-e puts the largest weaving trace T, a normal float, in
+    [1/2, 1).  From each constant weaving, descent moves W to the pointwise
+    argmin of <f_ij, x>^2 at the eigenvector x of lambda_min(S_W), which
+    cannot raise lambda_min, until the rows stop improving; ascent does so
+    for lambda_max.  Solving the 2m rows as the scan does gives t_lo =
     min lambda_min + slack, t_hi = max lambda_max - slack, slack = _TIE_RTOL T.
     """
-    v = family.stacked()
-    trace = FrameFamily.largest_trace(v)[0]
-    if trace < np.finfo(float).tiny:
-        return None
     lower = (np.arange(2 * family.m) < family.m)[:, None]
     rows, total = np.tile(np.arange(family.m)[:, None], (2, family.size)), np.inf
     while True:
@@ -261,10 +265,10 @@ def _descent_cuts(family: FrameFamily, outer: np.ndarray):
         if not (value := np.where(lower[:, 0], w[:, 0], -w[:, -1]).sum()) < total:
             break
         total = value
-        sq = np.einsum("ijd,kd->kji", v, np.where(lower, x[:, :, 0], x[:, :, -1])) ** 2
+        sq = np.einsum("ijd,kd->kji", family.stack, np.where(lower, x[:, :, 0], x[:, :, -1])) ** 2
         rows = np.where(lower, sq.argmin(axis=2), sq.argmax(axis=2))
     w = np.linalg.eigvalsh(_row_operators(outer, rows))
-    slack, scale = _TIE_RTOL * trace, np.ldexp(1.0, -int(np.frexp(trace)[1]))
+    slack, scale = _TIE_RTOL * family.trace, np.ldexp(1.0, -int(np.frexp(family.trace)[1]))
     return (scale, (w[:, 0].min() + slack) * scale), (-scale, (slack - w[:, -1].max()) * scale)
 
 
@@ -284,9 +288,9 @@ def _reduce_scan(family, chunks, examined, mode, seed=None) -> WeavingReport:
 def _cell_candidates(family: FrameFamily, outer: np.ndarray, total: int) -> np.ndarray | None:
     """Sorted distinct assignment rows, for d <= 2, among which lie every
     exact minimiser of lambda_min and maximiser of lambda_max over all
-    weavings; None when they would not be fewer than ``total`` = m^n, when
-    they or the squares below would not fit CHUNK_BUDGET, or when the
-    operators underflow.
+    weavings, whose largest trace is a normal float; None when they would
+    not be fewer than ``total`` = m^n, or when they or the squares below
+    would not fit CHUNK_BUDGET.
 
     For a unit x, x^T S_W x = sum_j <f_{W(j)j}, x>^2, so a weaving attaining
     either extreme picks, at its extreme eigenvector x, a pointwise argmin
@@ -302,15 +306,13 @@ def _cell_candidates(family: FrameFamily, outer: np.ndarray, total: int) -> np.n
     bit-identical operators, so only the smaller frame, whose rows are
     smaller, is kept.
     """
-    v = family.stacked()
+    v = family.stack
     m, n, d = v.shape
-    trace = FrameFamily.largest_trace(v)[0]
     # each direction gives a row per extreme, and its squares, with their two
     # masked copies, must fit CHUNK_BUDGET too
     directions_bound = 1 + n * m * (m - 1) if d == 2 else 1
     if (
-        trace < np.finfo(float).tiny
-        or 2 * directions_bound >= total
+        2 * directions_bound >= total
         or directions_bound * n * m > CHUNK_BUDGET // 32
     ):
         return None
@@ -328,7 +330,7 @@ def _cell_candidates(family: FrameFamily, outer: np.ndarray, total: int) -> np.n
     # a power of two brings the largest entry into [1/2, 1), clear of underflow
     scale = np.frexp(np.max(np.abs(v)))[1]
     sq = np.einsum("ijd,bd->bji", np.ldexp(v, -scale), directions) ** 2
-    slack = _TIE_RTOL * np.ldexp(trace, -2 * scale)
+    slack = _TIE_RTOL * np.ldexp(family.trace, -2 * scale)
     low = np.where(kept.T, sq, np.inf)
     high = np.where(kept.T, sq, -np.inf)
     ties = np.concatenate([
@@ -364,9 +366,11 @@ def exhaustive_woven_check(
     outside them level with an extreme.  Otherwise, and for every d >= 3,
     each chunk is every completion of one fixed prefix, with as many free
     indices as fit a (K, d, d) operator stack within CHUNK_BUDGET, of which
-    ``_scan`` solves only those that could be extreme.  Either way ``cap``
-    bounds m^n, chunks run on a pool of ``threads`` workers, and the min/max
-    reduction runs in chunk order, so any thread count gives the same report.
+    ``_scan`` solves only those that could be extreme, unless n < d (every
+    operator singular) or the largest trace is subnormal (no room for slack,
+    on either path): then all are solved.  Either way ``cap`` bounds m^n,
+    chunks run on a pool of ``threads`` workers, and the min/max reduction
+    runs in chunk order, so any thread count gives the same report.
     """
     if threads < 1:
         raise InvalidArgumentError("threads must be >= 1")
@@ -378,14 +382,13 @@ def exhaustive_woven_check(
         )
     outer = _rank_one_table(family)
     rows = _chunk_rows(family)
-    candidates = _cell_candidates(family, outer, total) if family.dim <= 2 else None
+    normal = family.trace >= np.finfo(float).tiny
+    candidates = _cell_candidates(family, outer, total) if normal and family.dim <= 2 else None
     if candidates is not None:
         tasks = range(0, len(candidates), rows)
 
         def run(start):
-            digits = candidates[start : start + rows]
-            lo, tied, hi = _scan(_row_operators(outer, digits))
-            return lo, tuple(digits[tied[0]].tolist()), hi
+            return _scan_rows(outer, candidates[start : start + rows])
 
     else:
         # a single frame has one weaving, so it has no free indices
@@ -393,7 +396,7 @@ def exhaustive_woven_check(
         while depth < n and 1 < m ** (depth + 1) <= rows:
             depth += 1
         tasks = list(itertools.product(range(m), repeat=n - depth))
-        cuts = _descent_cuts(family, outer)
+        cuts = _descent_cuts(family, outer) if normal and n >= family.dim else None
 
         def run(prefix):
             lo, tied, hi = _scan(_completions(outer, prefix), cuts)
@@ -421,10 +424,7 @@ def sampled_woven_estimate(family: FrameFamily, samples: int, seed: int) -> Weav
 
     def run(drawn):
         digits = rng.integers(0, m, size=(min(rows, samples - drawn), n), dtype=np.int64)
-        lo, tied, hi = _scan(_row_operators(outer, digits))
-        tied = digits[tied]
-        # np.lexsort sorts on its last key first, so column 0 goes last
-        return lo, tuple(tied[np.lexsort(tied.T[::-1])[0]].tolist()), hi
+        return _scan_rows(outer, digits)
 
     return _reduce_scan(family, map(run, range(0, samples, rows)), samples, "sampled", seed)
 

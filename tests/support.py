@@ -49,7 +49,7 @@ def full_flat_scan(family):
     one eigvalsh call: rows in lexicographic order, each operator summed
     left to right over j as the package's scans sum it, and the first row
     attaining min lambda_min as the witness."""
-    v = family.stacked()
+    v = family.stack
     m, n, _ = v.shape
     # einsum sums each product onto +0, so a -0 product enters as +0 just as
     # in the package's table; eigvalsh can tell the two zeros apart
@@ -68,6 +68,15 @@ def gather_operators(outer, digits):
     """Per-row reference for the scans' operator stacks: gathers the (K, n, d, d)
     rank-one terms of each assignment row and sums them over j."""
     return outer[digits, np.arange(digits.shape[1])].sum(axis=1)
+
+
+def matrix_with_singular_values(rng, shape, sigma):
+    """Q1 diag(sigma) Q2^T, with Q1 and Q2 the orthonormal QR factors of
+    normal matrices: a matrix whose singular values are known without an SVD."""
+    k = len(sigma)
+    q1 = np.linalg.qr(rng.normal(size=(shape[0], k)))[0]
+    q2 = np.linalg.qr(rng.normal(size=(shape[1], k)))[0]
+    return (q1 * np.asarray(sigma)) @ q2.T
 
 
 def clamped_shift_frame(dim, offsets, scale=1.0, count=None):

@@ -3,7 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from support import clamped_shift_frame, counterexample_family, example_pair
+from support import (
+    clamped_shift_frame,
+    counterexample_family,
+    example_pair,
+    matrix_with_singular_values,
+)
 from wovenframes import (
     Bounds,
     Frame,
@@ -245,14 +250,7 @@ class TestOperatorFamily:
         [
             pytest.param(np.ones((2, 2)), id="ones"),
             pytest.param(np.array([[1.0, 2.0], [3.0, 6.0]]), id="rows-1-3"),
-            pytest.param(
-                np.array([[3.0, 1.0], [6.0, 2.0]]),
-                id="cols-1-3",
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="rounding in U^T U gives sigma_min ~ 1.7e-8, above the cut (ROADMAP item 2)",
-                ),
-            ),
+            pytest.param(np.array([[3.0, 1.0], [6.0, 2.0]]), id="cols-1-3"),
         ],
     )
     def test_rank_deficient_reference_has_no_left_inverse(self, reference):
@@ -494,6 +492,17 @@ class TestInvertibleStability:
         assert rep.woven
         assert rep.universal_lower >= cert.guaranteed_lower - 1e-9
         assert rep.universal_upper <= cert.guaranteed_upper + 1e-9
+
+    @pytest.mark.parametrize("s", [1e-9, 1e-6])
+    def test_lower_bound_from_a_small_sigma(self, s):
+        # A sigma_min(T)^2 with sigma_min known by construction; taken from
+        # T^T T it came out 5.8 times too large at s = 1e-9
+        t = matrix_with_singular_values(np.random.default_rng(127), (4, 4), [1.0, 0.5, 0.2, s])
+        fam = FrameFamily([Frame(np.eye(4)), Frame(np.eye(4))])
+        cert, _ = certify_invertible_stability(fam, Bounds(1.0, 1.0), [t, np.eye(4)])
+        assert cert.margins["max_inverse_norm"] == pytest.approx(1.0 / s, rel=1e-6)
+        assert cert.guaranteed_lower == pytest.approx(s**2, rel=1e-5)
+        assert cert.guaranteed_upper == pytest.approx(1.0, rel=1e-14)
 
     def test_misaligned_rotation_caveat(self):
         # unrelated rotations can collapse a weaving entirely, which is why

@@ -454,6 +454,7 @@ class TestErrorContract:
             "lenient": {"dim": 2, "frames": [{"vectors": [[True, "2"], [0, "1e0"]]}]},
             "ops": {"operators": [np.eye(2).tolist(), np.eye(2).tolist()]},
             "huge_ops": {"operators": [[[1e200, 0], [0, 1]], np.eye(2).tolist()]},
+            "rank_one_ops": {"operators": [[[1, 2], [3, 6]], np.eye(2).tolist()]},
         }
         paths = {"pair": pair_file, "absent": str(tmp_path / "absent.json")}
         for name, doc in docs.items():
@@ -479,6 +480,8 @@ class TestErrorContract:
             # operators whose Gram trace overflows when squared
             (["certify", "invertible", "{pair}", "--ops", "{huge_ops}", "--universal", "1,3"], "invalid-argument"),
             (["certify", "op-family", "{pair}", "--ops", "{huge_ops}"], "invalid-argument"),
+            # a rank-one operator has sigma_min = 0, not the Gram product's rounding
+            (["certify", "invertible", "{pair}", "--ops", "{rank_one_ops}", "--universal", "1,3"], "singular-operator"),
             # booleans and numeric strings are not numbers
             (["frames", "info", "{lenient}"], "parse-error"),
             # non-finite numeric options

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from support import matrix_with_singular_values
 from wovenframes.errors import InvalidArgumentError
 from wovenframes import Frame, FrameFamily, Partition, frame_bounds, frame_operator, is_tight_weaving
 from wovenframes.linalg import (
@@ -106,6 +107,25 @@ class TestGram:
             np.testing.assert_allclose(g, a.T @ a, rtol=0, atol=1e-14 * (1 + np.max(g)))
             np.testing.assert_array_equal(frame_operator(Frame(a)), g)
             assert operator_norm(a) == singular_values(a)[0]
+
+
+class TestSingularValues:
+    @pytest.mark.parametrize("s", [1e-9, 1e-6])
+    @pytest.mark.parametrize("shape", [(4, 4), (6, 4), (4, 6)])
+    def test_small_sigma_keeps_its_accuracy(self, s, shape):
+        # the oracle knows sigma by construction; a Gram product would square
+        # the condition number and report 2.4e-9 for s = 1e-9
+        rng = np.random.default_rng(113)
+        sigma = np.array([1.0, 0.5, 0.2, s])
+        for _ in range(20):
+            got = singular_values(matrix_with_singular_values(rng, shape, sigma))
+            assert got.shape == (4,)
+            assert np.all(np.abs(got - sigma) <= 10 * np.finfo(float).eps * sigma[0])
+
+    def test_rank_one_has_a_zero_sigma(self):
+        sigma = singular_values([[1.0, 2.0], [3.0, 6.0]])
+        assert sigma[0] == pytest.approx(np.sqrt(50.0), rel=1e-15)
+        assert sigma[1] <= 10 * np.finfo(float).eps * sigma[0]
 
 
 class TestOperatorNorm:

@@ -65,6 +65,16 @@ class TestPartition:
 
 
 class TestFrameFamily:
+    def test_stores_its_stack_and_largest_trace(self):
+        f, g = example_pair()
+        fam = FrameFamily([f, g])
+        np.testing.assert_array_equal(fam.stack, np.stack([f.vectors, g.vectors]))
+        assert not fam.stack.flags.writeable
+        assert fam.trace == FrameFamily.largest_trace(fam.stack)[0] == 1.0 + 2.0 + 2.0
+        # derived fields stay out of equality and repr
+        assert fam == FrameFamily([f, g])
+        assert "stack" not in repr(fam) and "trace" not in repr(fam)
+
     def test_rejects_a_weaving_trace_that_overflows_when_squared(self):
         g = Frame([[1.0, 0.0], [1.0, 1.0], [1.0, -1.0]])
         big = Frame([[1e200, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -412,6 +422,23 @@ def flat_families(rng, m, n, d):
     }
 
 
+def refuse(*args):
+    raise AssertionError("the scan plan must not call this")
+
+
+def scanned_cuts(monkeypatch):
+    """Record the cuts handed to the eigen kernel with every stack."""
+    cuts = []
+    scan = weaving._scan
+
+    def recording_scan(s, *args):
+        cuts.append(args[0] if args else None)
+        return scan(s, *args)
+
+    monkeypatch.setattr(weaving, "_scan", recording_scan)
+    return cuts
+
+
 class TestFlatScanCuts:
     @pytest.mark.parametrize("m, n, d", [(2, 10, 3), (2, 9, 6), (3, 6, 4), (2, 5, 7), (3, 4, 8)])
     def test_matches_a_full_eigensolve(self, monkeypatch, m, n, d):
@@ -425,15 +452,36 @@ class TestFlatScanCuts:
             for t in (1, 2):
                 assert exhaustive_woven_check(fam, threads=t) == expected, (kind, t)
 
-    def test_subnormal_operators_are_all_solved(self):
+    def test_subnormal_operators_are_all_solved(self, monkeypatch):
         # a largest trace below the smallest normal float leaves no room for
-        # the slack, so the scan solves every operator, without a warning
+        # the slack, so the scan takes no cells or cuts and solves every
+        # operator, without a warning
+        monkeypatch.setattr(weaving, "_cell_candidates", refuse)
+        monkeypatch.setattr(weaving, "_descent_cuts", refuse)
+        cuts = scanned_cuts(monkeypatch)
         rng = np.random.default_rng(109)
-        for scale in (1e-155, 1e-160, 1e-162):
-            fam = FrameFamily([Frame(scale * rng.normal(size=(8, 3))) for _ in range(2)])
+        for scale, d in itertools.product((1e-155, 1e-160, 1e-162), (2, 3)):
+            fam = FrameFamily([Frame(scale * rng.normal(size=(8, d))) for _ in range(2)])
+            assert fam.trace < np.finfo(float).tiny
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert exhaustive_woven_check(fam) == full_flat_scan(fam)
+        assert cuts and not any(cuts)
+
+    @pytest.mark.parametrize("m, n, d, chunks", [(2, 7, 9, 2), (3, 4, 8, 3), (2, 8, 12, 4)])
+    def test_n_below_d_takes_no_cuts(self, monkeypatch, m, n, d, chunks):
+        # every operator is singular, so the scan solves them all, uncut, in
+        # several chunks of at most 64
+        monkeypatch.setattr(weaving, "_MAX_CHUNK", 64)
+        monkeypatch.setattr(weaving, "_descent_cuts", refuse)
+        cuts = scanned_cuts(monkeypatch)
+        rng = np.random.default_rng(131 + 10 * n + d)
+        for kind, v in flat_families(rng, m, n, d).items():
+            fam = FrameFamily([Frame(x) for x in v])
+            expected = full_flat_scan(fam)
+            for t in (1, 2):
+                assert exhaustive_woven_check(fam, threads=t) == expected, (kind, t)
+        assert len(cuts) == 7 * 2 * chunks and not any(cuts)
 
     def test_rules_out_most_operators(self, monkeypatch):
         rng = np.random.default_rng(97)
@@ -595,6 +643,15 @@ class TestSampledEstimate:
             est = sampled_woven_estimate(fam, samples=10, seed=7)
             assert est.universal_lower >= exact.universal_lower - 1e-12
             assert est.universal_upper <= exact.universal_upper + 1e-12
+
+    def test_exact_ties_pick_the_smallest_drawn_row(self):
+        # identical frames: every drawn row ties, so the witness is the
+        # smallest of the rows the generator draws in its one chunk
+        fr = Frame(np.random.default_rng(137).normal(size=(10, 3)))
+        rep = sampled_woven_estimate(FrameFamily([fr] * 3), samples=30, seed=11)
+        drawn = np.random.Generator(np.random.PCG64(11)).integers(0, 3, size=(30, 10), dtype=np.int64)
+        assert rep.witness_partition.assignment == min(map(tuple, drawn.tolist()))
+        assert rep.witness_partition.assignment != tuple(drawn[0].tolist())
 
     @pytest.mark.parametrize("m, n", [(2, 70), (3, 45)])
     def test_witness_attains_bound_when_words_overflow_int64(self, m, n):
