@@ -25,7 +25,6 @@ from .frames import (
     frame_bounds,
     frame_operator,
     is_dual_pair,
-    is_frame,
     synthesis,
 )
 from .weaving import (

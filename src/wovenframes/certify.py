@@ -269,24 +269,23 @@ def certify_positivity(family: FrameFamily, k: int) -> Certificate:
 
     The per-index form is exactly the all-sigma operator positivity of the
     truncated differences: singleton sigma gives necessity, summation gives
-    sufficiency.
+    sufficiency.  Each difference's zero cut is relative to its larger
+    rank-one term, max(|f_ij|^2, |f_kj|^2), since the difference can vanish.
     """
     m = family.m
     _check_reference(k, m)
     bounds = [frame_bounds(fr) for fr in family.frames]
-    worst = np.inf
-    scale = 0.0
+    worst = 0.0 if m == 1 else np.inf
+    negative = False
     for i, fr in enumerate(family.frames):
         if i == k:
             continue
         for fij, fkj in zip(fr.vectors, family.frames[k].vectors):
-            diff = np.outer(fij, fij) - np.outer(fkj, fkj)
-            lam_min, lam_max = sym_eig_bounds(diff)
+            lam_min, _ = sym_eig_bounds(np.outer(fij, fij) - np.outer(fkj, fkj))
             worst = min(worst, lam_min)
-            scale = max(scale, abs(lam_max))
-    worst = 0.0 if m == 1 else worst
+            negative |= lam_min < -zero_threshold(max(fij @ fij, fkj @ fkj))
     margins = {"min_difference_eigenvalue": float(worst)}
-    if worst < -zero_threshold(scale):
+    if negative:
         return Certificate("positivity", False, margins)
     a_k = bounds[k].lower
     upper = float(sum(b.upper for b in bounds))
@@ -299,16 +298,19 @@ def certify_positivity(family: FrameFamily, k: int) -> Certificate:
     return Certificate("positivity", True, margins, float(a_k), upper)
 
 
-def lm_perturbation_min_mu(f_k: Frame, f_i: Frame, lam: float) -> float:
-    """Smallest mu with S_diff <= lam * S_{F_k} + mu * I.
-
-    S_diff is the frame operator of the difference family {f_kj - f_ij}.
-    """
-    PerturbParams(lam)  # checks lambda
+def _lm_spectrum(f_k: Frame, f_i: Frame, lam: float) -> tuple[np.ndarray, float, float]:
+    """S_diff, the frame operator of the difference family {f_kj - f_ij}, and
+    the smallest and largest eigenvalue of S_diff - lam * S_{F_k}."""
     if (f_k.dim, f_k.size) != (f_i.dim, f_i.size):
         raise ShapeMismatchError("frames must share (dim, size)")
     s_diff = frame_operator(Frame(f_k.vectors - f_i.vectors))
-    _, lam_max = sym_eig_bounds(s_diff - lam * frame_operator(f_k))
+    return (s_diff, *sym_eig_bounds(s_diff - lam * frame_operator(f_k)))
+
+
+def lm_perturbation_min_mu(f_k: Frame, f_i: Frame, lam: float) -> float:
+    """Smallest mu with S_diff <= lam * S_{F_k} + mu * I."""
+    PerturbParams(lam)  # checks lambda
+    _, _, lam_max = _lm_spectrum(f_k, f_i, lam)
     return float(max(0.0, lam_max))
 
 
@@ -319,22 +321,21 @@ def certify_lm_perturbation(
     aggregate feasibility sum(lambda) < 1, A_k > sum(mu)/(1 - sum(lambda)) holds.
 
     Each supplied pair is first verified against the perturbation definition
-    as an operator inequality: lambda_i S_{F_k} + mu_i I - S_diff,i is PSD.
+    as an operator inequality: lambda_i S_{F_k} + mu_i I - S_diff,i is PSD,
+    its smallest eigenvalue mu_i - lambda_max(S_diff,i - lambda_i S_{F_k})
+    cut at zero relative to lambda_i ||S_{F_k}|| + mu_i + ||S_diff,i||.
     """
     m = family.m
     _check_reference(k, m)
     if len(params) != m - 1:
         raise InvalidParamsError(f"need {m - 1} perturbation pairs, got {len(params)}")
     bounds = [frame_bounds(fr) for fr in family.frames]
-    a_k = _spanning(bounds[k], f"frame {k}").lower
-    s_k = frame_operator(family.frames[k])
-    eye = np.eye(family.dim)
+    a_k, b_k = _spanning(bounds[k], f"frame {k}").lower, bounds[k].upper
     others = [i for i in range(m) if i != k]
     for i, pr in zip(others, params):
-        diff = frame_operator(Frame(family.frames[k].vectors - family.frames[i].vectors))
-        test = pr.lam * s_k + pr.mu * eye - diff
-        lam_min, lam_max = sym_eig_bounds(test)
-        if lam_min < -zero_threshold(lam_max):
+        s_diff, _, lam_max = _lm_spectrum(family.frames[k], family.frames[i], pr.lam)
+        lam_min = pr.mu - lam_max
+        if lam_min < -zero_threshold(pr.lam * b_k + pr.mu + operator_norm(s_diff)):
             raise InvalidParamsError(
                 f"(lambda, mu) = ({pr.lam}, {pr.mu}) fails the perturbation "
                 f"definition for frame {i} (min eigenvalue {lam_min:.3e})"

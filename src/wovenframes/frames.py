@@ -16,9 +16,10 @@ from .errors import InvalidArgumentError, NotAFrameError, ShapeMismatchError
 from .linalg import DEFAULT_TOL, gram, sym_eig, zero_threshold
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Frame:
-    """n vectors in R^d.  Never mutated after construction."""
+    """n vectors in R^d.  Never mutated after construction.  Frames compare by
+    identity: equal arrays have no single truth value."""
 
     vectors: np.ndarray
     label: str | None = None
@@ -70,7 +71,8 @@ def frame_operator(frame: Frame) -> np.ndarray:
 
 def _bounds(w: np.ndarray) -> Bounds:
     """Optimal bounds from the ascending spectrum of S.  A smallest eigenvalue at
-    or below the positivity threshold is reported as 0 (Bessel but not a frame)."""
+    or below ``zero_threshold`` of the largest is reported as 0 (Bessel but not
+    a frame)."""
     lam_max = max(float(w[-1]), 0.0)
     return Bounds(0.0 if w[0] <= zero_threshold(lam_max) else float(w[0]), lam_max)
 
@@ -88,10 +90,6 @@ def inverse_frame_operator(frame: Frame, not_a_frame: str) -> tuple[np.ndarray, 
     if bounds.lower <= 0.0:
         raise NotAFrameError(not_a_frame)
     return (v / w) @ v.T, bounds
-
-
-def is_frame(frame: Frame) -> bool:
-    return frame_bounds(frame).lower > 0.0
 
 
 def canonical_dual(frame: Frame) -> Frame:

@@ -108,13 +108,6 @@ def parse_coefficients_file(path) -> np.ndarray:
     return np.array(_as_float_rows(doc["coefficients"], f"{path}: coefficients"))
 
 
-def family_to_dict(family: FrameFamily) -> dict:
-    return {
-        "dim": family.dim,
-        "frames": [{"label": fr.label, "vectors": fr.vectors.tolist()} for fr in family.frames],
-    }
-
-
 def _plain(obj):
     """JSON form of a result object: a Partition is its assignment row, an array
     its nested lists, and any other dataclass the dict of its fields."""

@@ -1,15 +1,18 @@
 """Dense real kernels for small matrices.
 
-The single-matrix primitives are ``sym_eig``/``sym_eig_bounds`` and
-``null_space_basis``, which solve symmetric eigenproblems by cyclic Jacobi
-rotations, the last on ``gram``, the package's one Gram product (frame operators
-are Gram matrices too), and ``singular_values``/``operator_norm``, which take
-LAPACK's SVD of the matrix itself, so a small sigma keeps its relative accuracy.
-Callers read inverses and their norms from one spectrum.  The wovenness scans
-solve the frame operators they cannot rule out with LAPACK's eigvalsh.
+The single-matrix primitives are ``sym_eig``/``sym_eig_bounds``, which solve
+symmetric eigenproblems (frame operators, built by ``gram``, the package's one
+Gram product) by cyclic Jacobi rotations, and ``singular_values``,
+``operator_norm`` and ``null_space_basis``, which take LAPACK's SVD of the
+matrix itself, so a small sigma keeps its relative accuracy.  Callers read
+inverses and their norms from one spectrum.  The wovenness scans solve the
+frame operators they cannot rule out with LAPACK's eigvalsh.
 The package's numeric defaults are defined here and nowhere else: ``ZERO_RTOL``,
 the relative cut at or below which ``zero_threshold`` counts a value as zero,
 and ``DEFAULT_TOL``, the tolerance of identity tests such as T_F T_G^T = I.
+Every zero cut is ``zero_threshold`` of the size of the operands (never of a
+result, which can vanish), with no absolute term, so scaling the input by any
+factor moves each cut with it and leaves every verdict unchanged.
 """
 
 from __future__ import annotations
@@ -26,9 +29,10 @@ _JACOBI_RTOL = 1e-14
 _JACOBI_MAX_SWEEPS = 100
 
 
-def zero_threshold(lambda_max: float) -> float:
-    """Eigen/singular values at or below this count as zero."""
-    return ZERO_RTOL * (1.0 + abs(lambda_max))
+def zero_threshold(scale: float) -> float:
+    """Eigen/singular values at or below this count as zero, where ``scale`` is
+    the size of the operands: lambda_max of a frame operator, sigma_max of a matrix."""
+    return ZERO_RTOL * abs(scale)
 
 
 def as_matrix(m) -> np.ndarray:
@@ -44,8 +48,7 @@ def check_symmetric(m) -> np.ndarray:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise InvalidArgumentError(f"expected a square matrix, got shape {a.shape}")
-    scale = _SYM_RTOL * (1.0 + np.max(np.abs(a)))
-    if np.max(np.abs(a - a.T)) > scale:
+    if np.max(np.abs(a - a.T)) > _SYM_RTOL * np.max(np.abs(a)):
         raise InvalidArgumentError("matrix is not symmetric within tolerance")
     return a
 
@@ -142,7 +145,8 @@ def singular_values(m) -> np.ndarray:
 
 
 def null_space_basis(m) -> list[np.ndarray]:
-    """Orthonormal basis of ker(M), from the spectrum of M^T M."""
-    w, v = sym_eig(gram(as_matrix(m)))
-    cut = zero_threshold(w[-1])
-    return [v[:, j].copy() for j in range(len(w)) if w[j] <= cut]
+    """Orthonormal basis of ker(M): the right singular vectors past the rank, the
+    count of sigma above ``zero_threshold`` of sigma_max."""
+    _, sigma, vt = np.linalg.svd(as_matrix(m))
+    rank = int(np.count_nonzero(sigma > zero_threshold(sigma[0])))
+    return list(vt[rank:])

@@ -54,16 +54,17 @@ _MAX_CHUNK = 16384
 _TIE_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameFamily:
     """m frames sharing (dim, size), their (m, n, d) ``stack`` of vectors, and
     the largest ``trace`` of a weaving operator, sum_j max_i |f_ij|^2, which
     must stay finite when squared, since the eigensolvers square operator entries.
+    Families compare by identity, as frames do.
     """
 
     frames: tuple[Frame, ...]
-    stack: np.ndarray = field(compare=False, repr=False)
-    trace: float = field(compare=False, repr=False)
+    stack: np.ndarray = field(repr=False)
+    trace: float = field(repr=False)
 
     def __init__(self, frames):
         frames = tuple(frames)
@@ -466,15 +467,17 @@ def weaving_alternate_dual(
                 f"kernel coefficients must have {r} (kernel) or {n} (raw) columns, got {c.shape[1]}"
             )
         u = c @ np.array(kernel).reshape(r, n) if r else np.zeros((d, n))
-    scale = 1.0 + np.sqrt(bounds.upper)  # 1 + ||T_W||
-    residual = float(np.max(np.abs(t_w @ u.T))) if u.size else 0.0
-    if residual > tol * scale:
+    # each test is relative to the size of its product: ||T_W|| times the
+    # Frobenius norm of U, or of the dual, whose product with T_W is I
+    norm_t = np.sqrt(bounds.upper)
+    residual = float(np.max(np.abs(t_w @ u.T)))
+    if residual > tol * norm_t * np.linalg.norm(u):
         raise ConstraintViolatedError(
             f"T_W U^T is not zero (max entry {residual:.3e}); rows of U must lie in ker(T_W)"
         )
     dual = s_inv @ t_w + u
     witness = t_w @ dual.T
-    if np.max(np.abs(witness - np.eye(d))) > max(tol, DEFAULT_TOL) * scale:
+    if np.max(np.abs(witness - np.eye(d))) > max(tol, DEFAULT_TOL) * norm_t * np.linalg.norm(dual):
         raise ConstraintViolatedError("constructed operator fails the duality identity")
     return Frame(dual.T)
 

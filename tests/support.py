@@ -64,6 +64,14 @@ def full_flat_scan(family):
     return WeavingReport(lower > zero_threshold(upper), lower, upper, witness, m**n, "exhaustive")
 
 
+def family_to_dict(family):
+    """The frame-file document of a family."""
+    return {
+        "dim": family.dim,
+        "frames": [{"label": fr.label, "vectors": fr.vectors.tolist()} for fr in family.frames],
+    }
+
+
 def gather_operators(outer, digits):
     """Per-row reference for the scans' operator stacks: gathers the (K, n, d, d)
     rank-one terms of each assignment row and sums them over j."""

@@ -17,6 +17,7 @@ from support import (
     clamped_shift_frame,
     counterexample_family,
     example_pair,
+    family_to_dict,
     random_frame,
     random_woven_family,
 )
@@ -48,7 +49,6 @@ from wovenframes import (
 )
 from wovenframes.cli import main
 from wovenframes.frames import synthesis
-from wovenframes.io import family_to_dict
 from wovenframes.linalg import operator_norm
 
 

@@ -349,12 +349,15 @@ class TestPositivity:
 
     def test_zero_cut_boundary(self):
         # the one difference f_10 f_10^T - f_00 f_00^T has eigenvalues
-        # (1 - delta)^2 - 1 ~ -2 delta and 0, so the cut is 1e-10 * (1 + 0)
-        for delta, accepted in ((4.9e-11, True), (5.1e-11, False)):
-            fam = FrameFamily([Frame(np.eye(2)), Frame(np.diag([1.0 - delta, 1.0]))])
-            cert = certify_positivity(fam, 0)
-            assert cert.hypothesis_satisfied is accepted
-            assert cert.margins["min_difference_eigenvalue"] == pytest.approx(-2 * delta, rel=1e-4)
+        # c^2 ((1 - delta)^2 - 1) ~ -2 c^2 delta and 0; the cut is 1e-10 times
+        # its larger rank-one term c^2, so the boundary does not move with c
+        for c in (2.0**-40, 1.0, 2.0**20):
+            for delta, accepted in ((4.9e-11, True), (5.1e-11, False)):
+                fam = FrameFamily([Frame(c * np.eye(2)), Frame(c * np.diag([1.0 - delta, 1.0]))])
+                cert = certify_positivity(fam, 0)
+                assert cert.hypothesis_satisfied is accepted
+                worst = cert.margins["min_difference_eigenvalue"]
+                assert worst == pytest.approx(-2 * delta * c**2, rel=1e-4)
 
     def test_per_index_matches_all_subsets(self):
         rng = np.random.default_rng(59)
@@ -424,13 +427,15 @@ class TestLmPerturbation:
         assert cert.guaranteed_lower == pytest.approx(0.5 * frame_bounds(f).lower, abs=1e-12)
 
     def test_definition_check_zero_cut_boundary(self):
-        # S_k = I and S_diff = diag(1/4, 0), so lambda S_k - S_diff has
-        # eigenvalues -delta and 1/4 - delta; the cut is 1e-10 * (1.25 - delta)
-        fam = FrameFamily([Frame(np.eye(2)), Frame(np.diag([0.5, 1.0]))])
-        cert = certify_lm_perturbation(fam, 0, [PerturbParams(0.25 - 1.22e-10, 0.0)])
-        assert cert.hypothesis_satisfied
-        with pytest.raises(InvalidParamsError, match="fails the perturbation definition"):
-            certify_lm_perturbation(fam, 0, [PerturbParams(0.25 - 1.28e-10, 0.0)])
+        # S_k = c^2 I and S_diff = c^2 diag(1/4, 0), so lambda S_k - S_diff has
+        # eigenvalues -c^2 delta and c^2 (1/4 - delta); the cut is 1e-10 times
+        # lambda ||S_k|| + mu + ||S_diff|| = c^2 (1/2 - delta), at any scale c
+        for c in (2.0**-40, 1.0, 2.0**20):
+            fam = FrameFamily([Frame(c * np.eye(2)), Frame(c * np.diag([0.5, 1.0]))])
+            cert = certify_lm_perturbation(fam, 0, [PerturbParams(0.25 - 0.49e-10, 0.0)])
+            assert cert.hypothesis_satisfied
+            with pytest.raises(InvalidParamsError, match="fails the perturbation definition"):
+                certify_lm_perturbation(fam, 0, [PerturbParams(0.25 - 0.51e-10, 0.0)])
 
     def test_shift_triple_rejected_at_truncation(self):
         u = clamped_shift_frame(8, (0, 1, 2))

@@ -4,11 +4,25 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from support import clamped_shift_frame, counterexample_family, example_pair
-from wovenframes import Bounds, Certificate, Frame, FrameFamily, Partition, WeavingReport, weaving
+from support import (
+    clamped_shift_frame,
+    counterexample_family,
+    example_pair,
+    family_to_dict,
+    random_woven_family,
+)
+from wovenframes import (
+    Bounds,
+    Certificate,
+    Frame,
+    FrameFamily,
+    Partition,
+    WeavingReport,
+    lm_perturbation_min_mu,
+    weaving,
+)
 from wovenframes.cli import CERTIFY_METHODS, main
 from wovenframes.io import (
-    family_to_dict,
     parse_coefficients_file,
     parse_frame_file,
     parse_operators_file,
@@ -437,6 +451,94 @@ class TestCertifyCommand:
     def test_not_woven_without_universal(self, runner, counter_file):
         res = runner.invoke(main, ["certify", "dual-canonicals", counter_file])
         assert res.exit_code == 2
+
+
+# result fields that hold frame bounds, which scale as the operators do
+BOUND_FIELDS = {"lower", "upper", "universal_lower", "universal_upper", "bessel_upper_bound", "constant"}
+
+
+def scaled_bounds(doc, factor):
+    """``doc`` with every bound field multiplied by ``factor``."""
+    if isinstance(doc, dict):
+        return {
+            key: value * factor if key in BOUND_FIELDS and isinstance(value, float) else scaled_bounds(value, factor)
+            for key, value in doc.items()
+        }
+    if isinstance(doc, list):
+        return [scaled_bounds(x, factor) for x in doc]
+    return doc
+
+
+class TestScaleInvariance:
+    """Multiplying every vector by 2^k multiplies every frame operator by 4^k
+    exactly, so every report is the unscaled one with each bound times 4^k,
+    and every verdict and exit code is unchanged: no zero cut is absolute."""
+
+    @staticmethod
+    def families():
+        rng = np.random.default_rng(151)
+        angles = np.pi / 2 + np.arange(3) * 2 * np.pi / 3
+        mb = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        base = rng.normal(size=(8, 3))
+        return {
+            # d = 2 takes the cell path, d = 3 the flat scan in 4 chunks of 64
+            "cells": random_woven_family(rng, 2, 8, 2)[0],
+            "flat": random_woven_family(rng, 2, 8, 3)[0],
+            # every weaving is tight, and every positivity difference is 0
+            "tight": FrameFamily([Frame(mb), Frame(-mb)]),
+            # f_1j = c_j f_0j with c_j > 1: woven, and positivity holds at k = 0
+            "grown": FrameFamily([Frame(base), Frame((1.0 + rng.random((8, 1))) * base)]),
+            "counterexample": counterexample_family(),
+        }
+
+    def run_all(self, runner, path, family, factor, threads):
+        word = ",".join(str(j % family.m) for j in range(family.size))
+        lam = 1e-3
+        mu = lm_perturbation_min_mu(family.frames[0], family.frames[1], lam)
+        assert mu > 0.0
+        commands = {
+            "info": ["frames", "info", path],
+            "exhaustive": ["weave", "check", path],
+            "sample": ["--samples", "300", "--seed", "5", "weave", "check", path, "--mode", "sample"],
+            "bounds": ["weave", "bounds", path, "--partition", word],
+            "tight": ["weave", "tight", path, "--partition", word],
+            "positivity": ["certify", "positivity", path],
+            "synthesis-gap": ["certify", "synthesis-gap", path],
+            # mu = 0 fails the (lambda, mu) definition; just above the least mu passes it
+            "lm-fails": ["certify", "lm-perturb", path, "--lambda", repr(lam), "--mu", "0.0"],
+            "lm-passes": [
+                "certify", "lm-perturb", path, "--lambda", repr(lam), "--mu", repr(mu * (1 + 1e-6) * factor),
+            ],
+        }
+        return {
+            name: runner.invoke(main, ["--threads", str(threads)] + args)
+            for name, args in commands.items()
+        }
+
+    @pytest.mark.parametrize("k", [-40, -20, 20])
+    def test_reports_scale_exactly(self, runner, tmp_path, monkeypatch, k):
+        monkeypatch.setattr(weaving, "_MAX_CHUNK", 64)
+        factor = 4.0**k
+        for name, family in self.families().items():
+            scaled = FrameFamily([Frame(np.ldexp(fr.vectors, k), fr.label) for fr in family.frames])
+            plain_path = write_family(tmp_path / f"{name}.json", family)
+            scaled_path = write_family(tmp_path / f"{name}-scaled.json", scaled)
+            for threads in (1, 2):
+                plain = self.run_all(runner, plain_path, family, 1.0, threads)
+                other = self.run_all(runner, scaled_path, family, factor, threads)
+                for command, res in plain.items():
+                    case = (name, threads, command)
+                    assert other[command].exit_code == res.exit_code, case
+                    if res.exit_code == 2:
+                        continue
+                    got, want = json.loads(other[command].output), json.loads(res.output)
+                    if command in ("positivity", "synthesis-gap", "lm-passes"):
+                        assert got["result"]["hypothesis_satisfied"] == want["result"]["hypothesis_satisfied"], case
+                        continue
+                    want["inputs"]["file"] = scaled_path
+                    assert got == scaled_bounds(want, factor), case
+            # the family keeps its character: some verdicts are positive
+            assert plain["exhaustive"].exit_code == (1 if name == "counterexample" else 0)
 
 
 OVERFLOW = {"dim": 2, "frames": [{"vectors": [[1e200, 0], [0, 1], [1, 1]]}, {"vectors": [[1, 0], [1, 1], [1, -1]]}]}

@@ -31,8 +31,11 @@ class TestSymEigBounds:
         assert sym_eig_bounds([[3.0, 0.0], [0.0, 2.0]]) == (2.0, 3.0)
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(InvalidArgumentError):
-            sym_eig_bounds([[0.0, 1.0], [0.0, 0.0]])
+        # the symmetry test is relative to the largest entry, at any scale
+        for c in (1e-20, 1.0, 1e20):
+            with pytest.raises(InvalidArgumentError):
+                sym_eig_bounds(c * np.array([[0.0, 1.0], [0.0, 0.0]]))
+            assert sym_eig_bounds(c * np.array([[1.0, 1.0], [1.0 + 1e-13, 1.0]]))[1] > 0.0
 
     def test_rejects_non_square(self):
         with pytest.raises(InvalidArgumentError):
@@ -163,6 +166,18 @@ class TestNullSpace:
         basis = null_space_basis(np.zeros((2, 3)))
         assert len(basis) == 3
 
+    def test_small_sigma_is_not_a_kernel(self):
+        # sigma is cut at ZERO_RTOL * sigma_max, so 1e-6 is not zero: a cut on
+        # the Gram spectrum sigma^2 would read it as a kernel
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            m = matrix_with_singular_values(rng, (4, 4), [1.0, 0.5, 0.2, 1e-6])
+            assert null_space_basis(m) == []
+            singular = matrix_with_singular_values(rng, (4, 4), [1.0, 0.5, 0.2, 0.0])
+            basis = null_space_basis(singular)
+            assert len(basis) == 1
+            assert np.linalg.norm(singular @ basis[0]) <= 1e-14
+
     def test_residual_and_orthonormality(self):
         rng = np.random.default_rng(21)
         for _ in range(100):
@@ -192,8 +207,15 @@ class TestRelativeStopRule:
         w = np.linalg.eigvalsh(v.T @ v)
         b = frame_bounds(Frame(v))
         assert b.upper == pytest.approx(w[-1], rel=1e-12, abs=0)
-        # far below the absolute zero cut, so the frame counts as Bessel only
-        assert w[0] > 0 and b.lower == 0.0
+        # the zero cut is relative to the largest eigenvalue, so a tiny frame
+        # is a frame, with its bound as accurate as a large one's
+        assert b.lower == pytest.approx(w[0], rel=1e-12, abs=0)
+        # S = c^2 diag(1, r): a frame just above the cut r = ZERO_RTOL, Bessel
+        # only just below it, at any scale c
+        for c in (1e-8, 1.0, 1e8):
+            for r, spans in ((1.1e-10, True), (0.9e-10, False)):
+                b = frame_bounds(Frame(c * np.diag([1.0, np.sqrt(r)])))
+                assert (b.lower > 0.0) is spans
 
     def test_near_tight_weaving_is_not_tight(self):
         # S_W = I + E with zero-diagonal E: trace(S_W)/d = 1, ||S_W - I|| = 1.5e-10
