@@ -9,7 +9,11 @@ expanding the prefix sum one index at a time, which yields the completions
 in lexicographic order; the sampled scan sums its drawn rows column by
 column.  Either way each operator is summed left to right over j, and the
 witness is the smallest assignment among the minimizers.  The flat
-exhaustive scan solves only operators that a batched test cannot rule out.
+exhaustive scan walks each chunk's prefix tree: a batched positive-
+definiteness test on a node's partial sum plus rank-one envelopes
+M_j <= f_ij f_ij^T <= N_j of its free indices rules out the whole subtree
+below it, and the same test rules out single operators at the leaves; only
+the operators left are solved.
 
 For d <= 2 the exhaustive check first lists candidate rows from the cells of
 the arrangement of lines orthogonal to f_ij -+ f_i'j on the half-circle of
@@ -52,6 +56,8 @@ CHUNK_BUDGET = 16 * 2**20
 _MAX_CHUNK = 16384
 # Slack of cell-path ties and flat-scan shifts, relative to the largest trace.
 _TIE_RTOL = 1e-9
+# Free indices left at the subtree nodes the flat scan tests, outermost first.
+_LEVELS = (4, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,19 +182,50 @@ def _chunk_rows(family: FrameFamily) -> int:
     return min(_MAX_CHUNK, max(1, CHUNK_BUDGET // (family.dim**2 * 8)))
 
 
-def _completions(outer: np.ndarray, prefix: tuple[int, ...]) -> np.ndarray:
-    """Frame operators of every completion of an assignment prefix.
+def _walk(outer: np.ndarray, prefix: tuple[int, ...], cuts, tails):
+    """``_scan`` of every completion of an assignment prefix that no subtree
+    test rules out: (lo, the first tied completion, hi), or (inf, None,
+    -inf) when every one is ruled out.
 
     ``outer`` is the (m, n, d, d) rank-one table.  The prefix's terms are
-    summed left to right, then each free index expands every operator into
-    its m successors, so the m^(n - len(prefix)) operators come out in
-    lexicographic order of their assignments.
+    summed left to right, then each free index expands every partial sum
+    into its m successors, so the completions come out in lexicographic
+    order of their assignments, summed as ``_row_operators`` sums them.  At
+    each level r of ``tails`` = {r: (L_r, U_r)}, the sums S_P of the nodes
+    with r free indices left take ``_scan``'s tests on S_P + L_r and
+    S_P + U_r, where L_r (U_r) is the sum of the lower (upper) envelopes of
+    ``_subtree_tails`` over those indices; a node passing both has every
+    completion W between them, S_P + L_r <= S_W <= S_P + U_r, so none is
+    extreme or tied with one, and it is not expanded.  A level that rules
+    out no node sends the rest straight to the completions.
     """
-    n, d = outer.shape[1:3]
+    n = outer.shape[1]
+    j = max(len(prefix), 1)
     s = _row_operators(outer, np.array([prefix])) if prefix else outer[:, 0]
-    for j in range(max(len(prefix), 1), n):
+    ids = np.arange(len(s))
+    for r, (lower, upper) in (tails or {}).items():
+        s, ids = _expand(outer, s, ids, j, n - r)
+        j = n - r
+        undecided = _undecided(s + lower, s + upper, cuts)
+        if undecided.all():
+            break
+        s, ids = s[undecided], ids[undecided]
+    s, ids = _expand(outer, s, ids, j, n)
+    if not len(s):
+        return np.inf, None, -np.inf
+    lo, tied, hi = _scan(s, cuts)
+    suffix = np.unravel_index(ids[tied[0]], (len(outer),) * (n - len(prefix)))
+    return lo, prefix + tuple(map(int, suffix)), hi
+
+
+def _expand(outer: np.ndarray, s: np.ndarray, ids: np.ndarray, start: int, stop: int):
+    """The partial sums ``s`` carried on over indices start..stop-1, each
+    into its m successors, with their lexicographic positions ``ids``."""
+    m, _, d, _ = outer.shape
+    for j in range(start, stop):
         s = (s[:, None] + outer[None, :, j]).reshape(-1, d, d)
-    return s
+        ids = (ids[:, None] * m + np.arange(m)).ravel()
+    return s, ids
 
 
 def _row_operators(outer: np.ndarray, digits: np.ndarray) -> np.ndarray:
@@ -207,13 +244,21 @@ def _scan(s: np.ndarray, cuts=None):
     """
     kept = np.arange(len(s))
     if cuts is not None:
-        flagged = ~_positive_definite(s, *cuts[0])
-        if not flagged.all():
-            flagged |= ~_positive_definite(s, *cuts[1])
+        flagged = _undecided(s, s, cuts)
         kept = np.flatnonzero(flagged) if flagged.any() else kept[:1]
     w = np.linalg.eigvalsh(s if len(kept) == len(s) else s[kept])
     lo = float(w[:, 0].min())
     return lo, kept[w[:, 0] == lo], float(w[:, -1].max())
+
+
+def _undecided(lower: np.ndarray, upper: np.ndarray, cuts) -> np.ndarray:
+    """Which operators fail the ``_positive_definite`` test of cuts[0] on
+    ``lower`` or of cuts[1] on ``upper``, the second run only when some pass
+    the first."""
+    flagged = ~_positive_definite(lower, *cuts[0])
+    if not flagged.all():
+        flagged |= ~_positive_definite(upper, *cuts[1])
+    return flagged
 
 
 def _scan_rows(outer: np.ndarray, digits: np.ndarray):
@@ -230,9 +275,21 @@ def _positive_definite(s: np.ndarray, scale: float, shift: float) -> np.ndarray:
     triangle.  A diagonal entry only loses a_ik^2 / pivot >= 0, so rounding,
     overflow and NaN can only fail.  A pass gives Cholesky factors, so A + E
     > 0 for some ||E|| <= 2d(d + 1) eps ||A|| (Higham, ch. 10); eigvalsh errs
-    by about d eps ||A||.  The scan has ||A|| <= 2, so for d < 10^5 both are
-    far below its slack 1e-9 T, T in [1/2, 1), so a pass puts the computed
-    lambda_min (lambda_max) strictly beyond the shift's attained eigenvalue.
+    by about d eps ||A||.  The scan scales by c so that cT, T the largest
+    weaving trace, lies in [1/2, 1), and its slack is 1e-9 cT >= 5e-10.  A
+    completion has ||A|| <= 2.  A subtree node of ``_walk`` adds c times
+    at most 4 envelopes of ``_envelopes``, each of norm at most
+    (|h_j| + sqrt(lambda_max K_j))^2 <= (m + 1) max_i |f_ij|^2 by
+    Cauchy-Schwarz, as lambda_max K_j <= sum_i |f_ij - h_j|^2 =
+    sum_i |f_ij|^2 - m |h_j|^2; so ||A|| <= m + 2.  Both errors are then
+    below 3e-16 d(d + 1)(m + 2), under the slack whenever
+    d(d + 1)(m + 2) < 10^6.  That holds for every scan
+    that can finish: nodes need m^2 <= _MAX_CHUNK, so m <= 128, and cuts
+    need n >= d, so the scan builds m^n >= m^d >= 2^500 operators otherwise.
+    Forming the envelopes and summing a node's n + 4 terms err by
+    O((m sqrt(d) + n) eps T), far below it too.  So a pass puts the computed
+    lambda_min (lambda_max) of every operator the tested matrix bounds
+    strictly beyond the shift's attained eigenvalue.
     """
     k, d, _ = s.shape
     a, ok = np.empty((d, d, k)), np.ones(k, dtype=bool)
@@ -271,6 +328,60 @@ def _descent_cuts(family: FrameFamily, outer: np.ndarray):
     w = np.linalg.eigvalsh(_row_operators(outer, rows))
     slack, scale = _TIE_RTOL * family.trace, np.ldexp(1.0, -int(np.frexp(family.trace)[1]))
     return (scale, (w[:, 0].min() + slack) * scale), (-scale, (slack - w[:, -1].max()) * scale)
+
+
+def _envelopes(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n, d, d) stacks M and N with M_j <= f_ij f_ij^T <= N_j for every
+    frame i of an (m, n, d) stack.
+
+    Flip each f_ij to the sign nearer f_0j, which leaves f f^T as it is.
+    Let h_j be the mean of the flipped vectors, k_ij = f_ij - h_j, K_j the
+    sum of k k^T over the deviations k_ij distinct up to sign (for m = 2,
+    k_1j = -k_0j and K_j = k_0j k_0j^T), and t > 0.  Then
+        f f^T = h h^T + k k^T +- (h k^T + k h^T),
+    and (sqrt(t) h -+ k / sqrt(t))(...)^T >= 0 gives
+        +-(h k^T + k h^T) <= t h h^T + k k^T / t,
+    while k k^T <= K_j, so
+        N_j = (1 + t) h h^T + (1 + 1/t) K_j,
+        M_j = (1 - t) h h^T - max(1/t - 1, 0) K_j
+    (for t >= 1 the k k^T term of the lower side is >= 0 and is dropped).
+    Any t > 0 is valid, so the rounding of t is harmless; t_j =
+    sqrt(lambda_max K_j) / |h_j| balances the two terms.  With a = |h_j|,
+    b = sqrt(lambda_max K_j), g = h h^T / a and G = K_j / b, that is
+    N_j = (a + b)(g + G) and M_j = (a - b) g - max(a - b, 0) G, which is
+    h h^T for both when K_j = 0 (identical and negated vectors), and
+    M_j = 0, N_j = K_j when h_j = 0.  The deviations are computed as
+    sum_i' (f_ij - f_i'j) / m, so that equal vectors give bit-equal ones.
+    """
+    m = len(stack)
+    flip = np.einsum("ijd,jd->ij", stack, stack[0]) < 0
+    f = np.where(flip[:, :, None], -stack, stack)
+    h = f.mean(axis=0)
+    k = sum(f - f[i] for i in range(m)) / m
+    kept = np.ones(k.shape[:2], dtype=bool)
+    for i in range(1, m):
+        same = np.all(k[:i] == k[i], axis=2) | np.all(k[:i] == -k[i], axis=2)
+        kept[i] = ~np.any(kept[:i] & same, axis=0)
+    kk = np.einsum("ij,ijd,ije->jde", kept, k, k)
+    a = np.linalg.norm(h, axis=1)
+    b = np.sqrt(np.maximum(np.linalg.eigvalsh(kk)[:, -1], 0.0))
+    u = h / np.where(a > 0, a, 1.0)[:, None]
+    g = a[:, None, None] * np.einsum("jd,je->jde", u, u)
+    big = kk / np.where(b > 0, b, 1.0)[:, None, None]
+    lower = (a - b)[:, None, None] * g - np.maximum(a - b, 0.0)[:, None, None] * big
+    upper = (a + b)[:, None, None] * (g + big)
+    return lower, upper
+
+
+def _subtree_tails(stack: np.ndarray, free: int) -> dict:
+    """{r: (sum of M_j, sum of N_j) over the last r indices} of
+    ``_envelopes``, for each level r <= ``free`` of _LEVELS, outermost
+    first; the envelopes are only formed when some level fits."""
+    levels = [r for r in _LEVELS if r <= free]
+    if not levels:
+        return {}
+    lower, upper = _envelopes(stack)
+    return {r: (lower[-r:].sum(axis=0), upper[-r:].sum(axis=0)) for r in levels}
 
 
 def _reduce_scan(family, chunks, examined, mode, seed=None) -> WeavingReport:
@@ -340,7 +451,10 @@ def _cell_candidates(family: FrameFamily, outer: np.ndarray, total: int) -> np.n
     ])
     if sum(map(math.prod, ties.sum(axis=2).tolist())) > CHUNK_BUDGET // (8 * n):
         return None
-    rows = np.unique(np.concatenate([_product_rows(t) for t in ties]), axis=0)
+    rows = np.concatenate([_product_rows(t) for t in ties])
+    # sorted distinct rows; np.unique(axis=0) would import numpy.ma
+    rows = rows[np.lexsort(rows.T[::-1])]
+    rows = rows[np.concatenate([[True], np.any(rows[1:] != rows[:-1], axis=1)])]
     return rows if len(rows) < total else None
 
 
@@ -366,12 +480,17 @@ def exhaustive_woven_check(
     keep, so the report is the full scan's unless rounding ranks a weaving
     outside them level with an extreme.  Otherwise, and for every d >= 3,
     each chunk is every completion of one fixed prefix, with as many free
-    indices as fit a (K, d, d) operator stack within CHUNK_BUDGET, of which
-    ``_scan`` solves only those that could be extreme, unless n < d (every
-    operator singular) or the largest trace is subnormal (no room for slack,
-    on either path): then all are solved.  Either way ``cap`` bounds m^n,
-    chunks run on a pool of ``threads`` workers, and the min/max reduction
-    runs in chunk order, so any thread count gives the same report.
+    indices as fit a (K, d, d) operator stack within CHUNK_BUDGET.
+    ``_walk`` rules out the subtrees of the prefix, 4 and then 2 indices
+    from the end, whose envelopes of ``_envelopes`` keep every completion
+    away from both extremes, and ``_scan`` solves only the completions left
+    that could be extreme, unless n < d (every operator singular) or the
+    largest trace is subnormal (no room for slack, on either path): then
+    nothing is ruled out and all are solved.  No completion that is
+    extreme, or tied with one, is ever ruled out, so the report is that of
+    solving all m^n.  Either way ``cap`` bounds m^n, ``partitions_examined``
+    is m^n, chunks run on a pool of ``threads`` workers, and the min/max
+    reduction runs in chunk order, so any thread count gives the same report.
     """
     if threads < 1:
         raise InvalidArgumentError("threads must be >= 1")
@@ -398,11 +517,11 @@ def exhaustive_woven_check(
             depth += 1
         tasks = list(itertools.product(range(m), repeat=n - depth))
         cuts = _descent_cuts(family, outer) if normal and n >= family.dim else None
+        # an empty prefix starts from the m choices at index 0
+        tails = _subtree_tails(family.stack, min(depth, n - 1)) if cuts is not None else None
 
         def run(prefix):
-            lo, tied, hi = _scan(_completions(outer, prefix), cuts)
-            suffix = np.unravel_index(tied[0], (m,) * depth)
-            return lo, prefix + tuple(map(int, suffix)), hi
+            return _walk(outer, prefix, cuts, tails)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return _reduce_scan(family, pool.map(run, tasks), total, "exhaustive")

@@ -206,12 +206,16 @@ class TestWeaveCheck:
 
         monkeypatch.setattr(weaving, "_scan", recording_scan)
         for path, words in ((pair_file, 8), (cells, 2**15), (all_tied, 2**15), (two_chunks, 2**15)):
-            stacks.clear()
-            one = runner.invoke(main, ["--threads", "1", "weave", "check", path])
-            two = runner.invoke(main, ["--threads", "2", "weave", "check", path])
-            assert json.loads(one.output)["result"]["partitions_examined"] == words
-            assert one.output == two.output
-        assert stacks == [2**14] * 4
+            outputs, sizes = [], []
+            for threads in ("1", "2"):
+                stacks.clear()
+                outputs.append(runner.invoke(main, ["--threads", threads, "weave", "check", path]).output)
+                sizes.append(sorted(stacks))
+            assert json.loads(outputs[0])["result"]["partitions_examined"] == words
+            assert outputs[0] == outputs[1]
+            assert sizes[0] == sizes[1]
+        # the subtree tests leave each of the two chunks at most 2^14 completions
+        assert len(sizes[0]) == 2 and max(sizes[0]) <= 2**14
 
     def test_cell_path_output_matches_the_flat_scan(self, runner, pair_file, tmp_path, monkeypatch):
         rng = np.random.default_rng(79)

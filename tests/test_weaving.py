@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -252,11 +255,16 @@ class TestExhaustiveCheck:
         two_chunks = FrameFamily([Frame(rng.normal(size=(15, 3))) for _ in range(2)])
         stacks = scanned_operators(monkeypatch)
         for fam in (one_chunk, cells, three_chunks, two_chunks):
-            stacks.clear()
-            reports = [exhaustive_woven_check(fam, threads=t) for t in (1, 2, 4)]
-            for rep in reports[1:]:
+            reports, sizes = [], []
+            for t in (1, 2, 4):
+                stacks.clear()
+                reports.append(exhaustive_woven_check(fam, threads=t))
+                sizes.append(sorted(stacks))
+            for rep, size in zip(reports[1:], sizes[1:]):
                 assert rep == reports[0]
-        assert stacks == [2**14] * 6
+                assert size == sizes[0]
+        # the subtree tests leave each of the two chunks at most 2^14 completions
+        assert len(sizes[0]) == 2 and max(sizes[0]) <= 2**14
 
     def test_chunks_fit_the_gather_budget(self, monkeypatch):
         # d^2 * 8 B = 12,800 B per operator: 1,310 operators per chunk, so the
@@ -284,13 +292,16 @@ class TestExhaustiveCheck:
 
     @pytest.mark.parametrize("m, n, d, depth", [(2, 7, 2, 3), (2, 5, 3, 5), (3, 5, 2, 2),
                                                 (3, 4, 3, 4), (4, 4, 2, 1), (4, 3, 3, 3)])
-    def test_completions_match_the_per_row_gather(self, m, n, d, depth):
+    def test_completions_match_the_per_row_gather(self, monkeypatch, m, n, d, depth):
         rng = np.random.default_rng(59)
         fam = FrameFamily([Frame(rng.normal(size=(n, d))) for _ in range(m)])
         outer = weaving._rank_one_table(fam)
         prefix = tuple(int(x) for x in rng.integers(0, m, size=n - depth))
         digits = np.array([prefix + s for s in itertools.product(range(m), repeat=depth)])
-        assert np.array_equal(weaving._completions(outer, prefix), gather_operators(outer, digits))
+        stacks = []
+        monkeypatch.setattr(weaving, "_scan", lambda s, cuts: stacks.append(s) or (0.0, [0], 0.0))
+        weaving._walk(outer, prefix, None, None)
+        assert np.array_equal(stacks[0], gather_operators(outer, digits))
 
     def test_row_operators_match_the_per_row_gather(self):
         rng = np.random.default_rng(61)
@@ -402,6 +413,21 @@ class TestCellPath:
         # identical frames: every weaving has bit-for-bit the same operator
         assert reports[1].witness_partition.assignment == (0,) * 7
 
+    def test_does_not_import_numpy_ma(self):
+        # np.unique(axis=0) would; a fresh interpreter shows the import
+        src = os.path.dirname(os.path.dirname(weaving.__file__))
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import numpy as np\n"
+            "from wovenframes import Frame, FrameFamily, exhaustive_woven_check\n"
+            "rng = np.random.default_rng(3)\n"
+            "base = rng.normal(size=(21, 2))\n"
+            "fam = FrameFamily([Frame(base), Frame(base + 0.3 * rng.normal(size=(21, 2)))])\n"
+            "exhaustive_woven_check(fam)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (out.returncode, out.stdout) == (0, "False\n"), out.stderr
+
     def test_d3_takes_the_flat_path(self, monkeypatch):
         calls = []
         monkeypatch.setattr(weaving, "_cell_candidates", lambda *args: calls.append(args))
@@ -507,6 +533,124 @@ class TestFlatScanCuts:
         assert rep == full_flat_scan(fam)
         # the descent's 2m rows, then few of the 4,096 operators
         assert solved[0] == 4 and sum(solved[1:]) < 4096 // 20
+
+
+def envelope_families(rng, m):
+    """(m, 5, 4) stacks whose vectors at each index are normal, sign flips
+    of one vector, zero in some frames, identical, orthogonal, near parallel
+    with random signs, or near copies."""
+    d = 4
+    v = rng.normal(size=(m, 5, d))
+    flips = v.copy()
+    flips[1:] = v[0] * rng.choice([-1.0, 1.0], size=(m - 1, 5, 1))
+    zeros = v.copy()
+    zeros[rng.integers(0, m, size=5), np.arange(5)] = 0.0
+    zeros[:, 2] = 0.0
+    orthogonal = np.zeros((m, 5, d))
+    for j in range(5):
+        q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        orthogonal[:, j] = (q[:, np.arange(m) % d] * rng.uniform(0.5, 2.0, size=m)).T
+    near = v[0] * (1 + 1e-9 * rng.normal(size=(m, 5, 1))) + 1e-12 * rng.normal(size=(m, 5, d))
+    return {
+        "normal": v,
+        "sign flips": flips,
+        "zero vectors": zeros,
+        "identical": np.repeat(v[:1], m, axis=0),
+        "orthogonal": orthogonal,
+        "near parallel": near * rng.choice([-1.0, 1.0], size=(m, 5, 1)),
+        "near copies": v[0] + 0.3 * rng.normal(size=(m, 5, d)),
+    }
+
+
+def pruned_family(rng, flip_signs=False):
+    """An eps 0.3 (2, 16, 8) family, the exhaustive-d8 shape, with the
+    second frame's vectors negated at random when ``flip_signs``."""
+    base = rng.normal(size=(16, 8))
+    other = base + 0.3 * rng.normal(size=(16, 8))
+    if flip_signs:
+        other *= rng.choice([-1.0, 1.0], size=(16, 1))
+    return FrameFamily([Frame(base), Frame(other)])
+
+
+class TestSubtreeEnvelopes:
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_sandwich_every_rank_one_term(self, m):
+        rng = np.random.default_rng(151 + m)
+        for kind, v in envelope_families(rng, m).items():
+            lower, upper = weaving._envelopes(v)
+            terms = np.einsum("ijd,ije->ijde", v, v)
+            scale = np.max(np.sum(v**2, axis=2), axis=0)[:, None]
+            assert np.all(np.linalg.eigvalsh(terms - lower) >= -1e-12 * scale), kind
+            assert np.all(np.linalg.eigvalsh(upper - terms) >= -1e-12 * scale), kind
+
+    def test_degenerate_envelopes_are_exact(self):
+        rng = np.random.default_rng(157)
+        v = rng.normal(size=(5, 3))
+        outer = np.einsum("jd,je->jde", v, v)
+        for m in (2, 3):
+            # identical and negated vectors: K = 0, so M = N = h h^T
+            same = np.repeat(v[None], m, axis=0) * np.array([1.0, -1.0, 1.0][:m])[:, None, None]
+            for envelope in weaving._envelopes(same):
+                np.testing.assert_allclose(envelope, outer, rtol=1e-15, atol=0)
+        # h = 0 (a zero frame 0 keeps every sign): M = 0 and N = K = v v^T
+        lower, upper = weaving._envelopes(np.stack([np.zeros_like(v), v, -v]))
+        assert not lower.any()
+        np.testing.assert_allclose(upper, outer, rtol=1e-14)
+        lower, upper = weaving._envelopes(np.zeros((2, 5, 3)))
+        assert not lower.any() and not upper.any()
+
+    def test_a_passing_node_passes_every_completion(self):
+        rng = np.random.default_rng(163)
+        passed = 0
+        for m, n, d, eps in ((2, 10, 4, 0.3), (2, 9, 5, 1.0), (3, 7, 3, 0.3), (4, 6, 3, 0.1)):
+            base = rng.normal(size=(n, d))
+            fam = FrameFamily([Frame(base + eps * rng.normal(size=(n, d))) for _ in range(m)])
+            outer = weaving._rank_one_table(fam)
+            cuts = weaving._descent_cuts(fam, outer)
+            tails = weaving._subtree_tails(fam.stack, n - 1)
+            for r, (low, high) in tails.items():
+                prefixes = rng.integers(0, m, size=(60, n - r))
+                nodes = weaving._row_operators(outer, prefixes)
+                node_passes = [
+                    weaving._positive_definite(nodes + low, *cuts[0]),
+                    weaving._positive_definite(nodes + high, *cuts[1]),
+                ]
+                for k, prefix in enumerate(prefixes):
+                    rows = np.array([tuple(prefix) + s for s in itertools.product(range(m), repeat=r)])
+                    leaves = weaving._row_operators(outer, rows)
+                    for side in (0, 1):
+                        if node_passes[side][k]:
+                            passed += 1
+                            assert weaving._positive_definite(leaves, *cuts[side]).all()
+        assert passed > 200
+
+    @pytest.mark.parametrize("m, n, d, chunks", [(2, 10, 3, 16), (3, 6, 4, 27)])
+    @pytest.mark.parametrize("k", [-40, 0, 40])
+    def test_matches_a_full_eigensolve_at_every_scale(self, monkeypatch, m, n, d, chunks, k):
+        # 64 operators per chunk: (2, 10, 3) tests the levels r = 4 and 2,
+        # (3, 6, 4) only r = 2
+        monkeypatch.setattr(weaving, "_MAX_CHUNK", 64)
+        scans = scanned_operators(monkeypatch)
+        rng = np.random.default_rng(167 + 10 * n + d)
+        for kind, v in flat_families(rng, m, n, d).items():
+            fam = FrameFamily([Frame(np.ldexp(x, k)) for x in v])
+            expected = full_flat_scan(fam)
+            for t in (1, 2):
+                assert exhaustive_woven_check(fam, threads=t) == expected, (kind, t)
+        # subtrees were ruled out on the way, and so were whole chunks, which
+        # then solve nothing
+        assert sum(scans) < 7 * 2 * m**n
+        assert len(scans) < 7 * 2 * chunks
+
+    @pytest.mark.parametrize("flip_signs", [False, True])
+    def test_rules_out_most_subtrees(self, monkeypatch, flip_signs):
+        # fewer than a quarter of the four families' 2^16 completions each
+        # reach the leaf test (the family of seed 2 alone leaves 27 %)
+        scans = scanned_operators(monkeypatch)
+        for seed in (1, 2, 3, 173):
+            fam = pruned_family(np.random.default_rng(seed), flip_signs)
+            assert exhaustive_woven_check(fam) == full_flat_scan(fam)
+        assert sum(scans) < 4 * 2**16 // 4
 
 
 class TestPositiveDefinite:
