@@ -304,7 +304,8 @@ def _lm_spectrum(f_k: Frame, f_i: Frame, lam: float) -> tuple[np.ndarray, float,
     if (f_k.dim, f_k.size) != (f_i.dim, f_i.size):
         raise ShapeMismatchError("frames must share (dim, size)")
     s_diff = frame_operator(Frame(f_k.vectors - f_i.vectors))
-    return (s_diff, *sym_eig_bounds(s_diff - lam * frame_operator(f_k)))
+    w = np.linalg.eigvalsh(s_diff - lam * frame_operator(f_k))
+    return s_diff, float(w[0]), float(w[-1])
 
 
 def lm_perturbation_min_mu(f_k: Frame, f_i: Frame, lam: float) -> float:

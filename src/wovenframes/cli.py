@@ -104,7 +104,9 @@ def main(ctx, tol, cap, seed, samples, threads):
     """Finite frame toolkit: weaving bounds, wovenness checks, duals, certificates."""
     if not 0.0 <= tol < float("inf"):
         raise InvalidArgumentError(f"tol must be finite and >= 0, got {tol}")
-    for name, value, least in (("threads", threads, 1), ("samples", samples, 1), ("seed", seed, 0)):
+    for name, value, least in (
+        ("threads", threads, 1), ("samples", samples, 1), ("seed", seed, 0), ("cap", cap, 1)
+    ):
         if value < least:
             raise InvalidArgumentError(f"{name} must be >= {least}")
     ctx.obj = {"tol": tol, "cap": cap, "seed": seed, "samples": samples, "threads": threads}

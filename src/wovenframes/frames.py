@@ -3,7 +3,10 @@
 A Frame is an indexed finite family of vectors in R^d, stored row-wise
 (``vectors[j]`` is the j-th frame vector).  The synthesis matrix keeps the
 vectors as columns, so the analysis operator is its transpose and the frame
-operator is T T^T.
+operator is T T^T.  Outside the wovenness scans, every frame or weaving
+operator is built by ``frame_operator`` and its spectrum read with LAPACK's
+eigvalsh, in the order and with the solver the scans use, so a weaving's
+bounds are bit for bit the ones a scan reports for it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NotAFrameError, ShapeMismatchError
-from .linalg import DEFAULT_TOL, gram, sym_eig, zero_threshold
+from .linalg import DEFAULT_TOL, zero_threshold
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,8 +68,11 @@ def synthesis(frame: Frame) -> np.ndarray:
 
 
 def frame_operator(frame: Frame) -> np.ndarray:
-    """S = T T^T = sum_j f_j f_j^T (symmetric PSD)."""
-    return gram(frame.vectors)
+    """S = T T^T = sum_j f_j f_j^T, exactly symmetric.  The rank-one terms are
+    einsum products, as in the scans' table, summed left to right over j, the
+    order of every scan's operators (a pairwise ``sum`` would round otherwise)."""
+    v = frame.vectors
+    return np.cumsum(np.einsum("jd,je->jde", v, v), axis=0)[-1]
 
 
 def _bounds(w: np.ndarray) -> Bounds:
@@ -79,17 +85,17 @@ def _bounds(w: np.ndarray) -> Bounds:
 
 def frame_bounds(frame: Frame) -> Bounds:
     """Optimal frame bounds: the extreme eigenvalues of the frame operator."""
-    return _bounds(sym_eig(frame_operator(frame), vectors=False)[0])
+    return _bounds(np.linalg.eigvalsh(frame_operator(frame)))
 
 
 def inverse_frame_operator(frame: Frame, not_a_frame: str) -> tuple[np.ndarray, Bounds]:
-    """S^{-1} and the optimal bounds A, B (so ||S|| = B, ||S^{-1}|| = 1/A) from one
-    decomposition of S.  Raises NotAFrameError(not_a_frame) when A = 0."""
-    w, v = sym_eig(frame_operator(frame))
-    bounds = _bounds(w)
+    """S^{-1} and the optimal bounds A, B (so ||S|| = B, ||S^{-1}|| = 1/A), the
+    bounds from one eigvalsh of S.  Raises NotAFrameError(not_a_frame) when A = 0."""
+    s = frame_operator(frame)
+    bounds = _bounds(np.linalg.eigvalsh(s))
     if bounds.lower <= 0.0:
         raise NotAFrameError(not_a_frame)
-    return (v / w) @ v.T, bounds
+    return np.linalg.inv(s), bounds
 
 
 def canonical_dual(frame: Frame) -> Frame:

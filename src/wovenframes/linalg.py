@@ -1,12 +1,11 @@
 """Dense real kernels for small matrices.
 
-The single-matrix primitives are ``sym_eig``/``sym_eig_bounds``, which solve
-symmetric eigenproblems (frame operators, built by ``gram``, the package's one
-Gram product) by cyclic Jacobi rotations, and ``singular_values``,
-``operator_norm`` and ``null_space_basis``, which take LAPACK's SVD of the
-matrix itself, so a small sigma keeps its relative accuracy.  Callers read
-inverses and their norms from one spectrum.  The wovenness scans solve the
-frame operators they cannot rule out with LAPACK's eigvalsh.
+Frame and weaving operators are built by ``frames.frame_operator`` and their
+spectra read with LAPACK's eigvalsh, as the wovenness scans read theirs.
+``sym_eig_bounds`` solves one symmetric matrix by cyclic Jacobi rotations
+(``jacobi_eigh_batch``); it serves the positivity certificate alone.
+``singular_values``, ``operator_norm`` and ``null_space_basis`` take LAPACK's
+SVD of the matrix itself, so a small sigma keeps its relative accuracy.
 The package's numeric defaults are defined here and nowhere else: ``ZERO_RTOL``,
 the relative cut at or below which ``zero_threshold`` counts a value as zero,
 and ``DEFAULT_TOL``, the tolerance of identity tests such as T_F T_G^T = I.
@@ -53,21 +52,17 @@ def check_symmetric(m) -> np.ndarray:
     return a
 
 
-def jacobi_eigh_batch(stack: np.ndarray, vectors: bool = False):
-    """Eigen-decompose a (K, d, d) stack of symmetric matrices.
+def jacobi_eigh_batch(stack: np.ndarray) -> np.ndarray:
+    """The (K, d) ascending eigenvalues of a (K, d, d) stack of symmetric matrices.
 
     Cyclic sweeps over the strict upper triangle, one rotation angle per
     matrix in the batch, until every off-diagonal Frobenius norm drops below
     1e-14 * maxabs (each matrix's own scale) or 100 sweeps elapse.
-
-    Returns (eigvals, eigvecs): eigvals (K, d) ascending; eigvecs (K, d, d)
-    with orthonormal columns (or None when vectors=False).
     """
     a = np.array(stack, dtype=float, copy=True)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise InvalidArgumentError(f"expected a (K, d, d) stack, got shape {a.shape}")
     k, d, _ = a.shape
-    v = np.tile(np.eye(d), (k, 1, 1)) if vectors else None
     if d > 1:
         tol = _JACOBI_RTOL * np.max(np.abs(a), axis=(1, 2))
         off_mask = ~np.eye(d, dtype=bool)
@@ -102,36 +97,13 @@ def jacobi_eigh_batch(stack: np.ndarray, vectors: bool = False):
                     # rotations leave tiny asymmetric noise; pin the zeroed pair
                     a[:, p, q] = np.where(active[:], 0.0, a[:, p, q])
                     a[:, q, p] = a[:, p, q]
-                    if vectors:
-                        vp = v[:, :, p].copy()
-                        vq = v[:, :, q].copy()
-                        v[:, :, p] = c * vp - s * vq
-                        v[:, :, q] = s * vp + c * vq
-    w = np.einsum("kii->ki", a).copy()
-    order = np.argsort(w, axis=1, kind="stable")
-    w = np.take_along_axis(w, order, axis=1)
-    if vectors:
-        v = np.take_along_axis(v, order[:, None, :], axis=2)
-    return w, v
-
-
-def sym_eig(m, vectors: bool = True):
-    """Full spectrum of one symmetric matrix (ascending)."""
-    a = check_symmetric(m)
-    w, v = jacobi_eigh_batch(a[None], vectors=vectors)
-    return (w[0], v[0]) if vectors else (w[0], None)
+    return np.sort(np.einsum("kii->ki", a), axis=1)
 
 
 def sym_eig_bounds(m) -> tuple[float, float]:
     """Smallest and largest eigenvalue of a symmetric matrix."""
-    w, _ = sym_eig(m, vectors=False)
+    w = jacobi_eigh_batch(check_symmetric(m)[None])[0]
     return float(w[0]), float(w[-1])
-
-
-def gram(a: np.ndarray) -> np.ndarray:
-    """The Gram matrix a^T a, symmetrized so that rounding leaves it exactly symmetric."""
-    g = a.T @ a
-    return 0.5 * (g + g.T)
 
 
 def operator_norm(m) -> float:

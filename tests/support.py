@@ -1,4 +1,4 @@
-"""Shared helpers: independent brute-force oracle and random instance
+"""Shared helpers: independent brute-force oracles and random instance
 generators.
 
 The brute-force oracle here deliberately avoids the package's own linear
@@ -62,6 +62,49 @@ def full_flat_scan(family):
     lower, upper = max(float(w[:, 0].min()), 0.0), max(float(w[:, -1].max()), 0.0)
     witness = Partition(tuple(rows[np.argmin(w[:, 0])].tolist()), m)
     return WeavingReport(lower > zero_threshold(upper), lower, upper, witness, m**n, "exhaustive")
+
+
+def _det(rows):
+    """Determinant of a square integer matrix by Bareiss elimination, exact in
+    Python ints (every division is exact)."""
+    a = [list(r) for r in rows]
+    k, sign, prev = len(a), 1, 1
+    for p in range(k - 1):
+        if a[p][p] == 0:
+            swap = next((i for i in range(p + 1, k) if a[i][p] != 0), None)
+            if swap is None:
+                return 0
+            a[p], a[swap], sign = a[swap], a[p], -sign
+        for i in range(p + 1, k):
+            for j in range(p + 1, k):
+                a[i][j] = (a[i][j] * a[p][p] - a[i][p] * a[p][j]) // prev
+        prev = a[p][p]
+    return sign * a[-1][-1] if k else 1
+
+
+def integer_woven(stack):
+    """Exact wovenness of an (m, n, d) family of integer vectors, with no
+    eigensolver and no rounding.
+
+    In finite dimensions a family is woven exactly when every weaving spans
+    R^d.  A weaving that does not span lies in a hyperplane x^perp, and a
+    basis of its span extends by pool vectors to d - 1 independent ones, so
+    x can be taken as their normal, whose entries are the signed minors.  So
+    the family is not woven exactly when the pool has rank below d - 1, or
+    some such normal x has <f_ij, x> == 0 for some frame i at every index j.
+    """
+    v = [[[int(c) for c in f] for f in frame] for frame in np.asarray(stack)]
+    m, n, d = len(v), len(v[0]), len(v[0][0])
+    pool = sorted({tuple(f) for frame in v for f in frame})
+    spans_a_hyperplane = False
+    for rows in itertools.combinations(pool, d - 1):
+        x = [(-1) ** k * _det([r[:k] + r[k + 1 :] for r in rows]) for k in range(d)]
+        if not any(x):
+            continue
+        spans_a_hyperplane = True
+        if all(any(sum(a * b for a, b in zip(v[i][j], x)) == 0 for i in range(m)) for j in range(n)):
+            return False
+    return spans_a_hyperplane
 
 
 def family_to_dict(family):

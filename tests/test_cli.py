@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -287,6 +288,21 @@ class TestWeaveBounds:
         doc = json.loads(res.output)
         assert doc["result"]["bounds"]["lower"] == pytest.approx(1.0)
         assert doc["result"]["bounds"]["upper"] == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("mode", ["exhaustive", "sample"])
+    def test_witness_replays_the_check(self, runner, tmp_path, d, mode):
+        # d = 2 takes the cell path, d = 3 the flat scan
+        rng = np.random.default_rng(211 + d)
+        for i in range(4):
+            base = rng.normal(size=(12, d))
+            fam = FrameFamily([Frame(base), Frame(base + 0.3 * rng.normal(size=(12, d)))])
+            path = write_family(tmp_path / f"family-{i}.json", fam)
+            check = runner.invoke(main, ["weave", "check", path, "--mode", mode]).output
+            word = ",".join(map(str, json.loads(check)["result"]["witness_partition"]))
+            bounds = runner.invoke(main, ["weave", "bounds", path, "--partition", word]).output
+            lower = re.search(r'"universal_lower": (\S+),', check).group(1)
+            assert re.search(r'"lower": (\S+),', bounds).group(1) == lower
 
     def test_bad_partition_exit_two(self, runner, pair_file):
         res = runner.invoke(main, ["weave", "bounds", pair_file, "--partition", "0,2,0"])
@@ -605,6 +621,9 @@ class TestErrorContract:
             (["--cap", "4", "weave", "check", "{pair}"], "cap-exceeded"),
             (["weave", "bounds", "{pair}", "--partition", "0,2,0"], "index-out-of-range"),
             (["--tol", "nan", "weave", "check", "{pair}"], "invalid-argument"),
+            # --cap is validated with the other numeric options, not read as a cap
+            (["--cap", "0", "weave", "check", "{pair}"], "invalid-argument"),
+            (["--cap", "-5", "certify", "positivity", "{pair}"], "invalid-argument"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else v,
     )

@@ -16,6 +16,7 @@ from support import (
     example_pair,
     full_flat_scan,
     gather_operators,
+    integer_woven,
     random_woven_family,
 )
 from wovenframes import (
@@ -44,7 +45,7 @@ from wovenframes.errors import (
     NotAFrameError,
     ShapeMismatchError,
 )
-from wovenframes import linalg, weaving
+from wovenframes import weaving
 
 
 def example_family():
@@ -243,6 +244,29 @@ class TestExhaustiveCheck:
             assert rep.universal_lower == pytest.approx(max(lo, 0.0), abs=1e-10)
             assert rep.universal_upper == pytest.approx(hi, abs=1e-10)
             assert rep.witness_partition.assignment == wit
+
+    def test_matches_the_integer_oracle(self):
+        # away from lambda_max^d >= 1e10, where the eigenvalue verdict can read a
+        # spanning integer weaving (lambda_min >= lambda_max^(1 - d)) as zero
+        rng = np.random.default_rng(223)
+        verdicts = []
+        for _ in range(240):
+            m, d = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+            v = rng.integers(-2, 3, size=(m, int(rng.integers(d, 9)), d)).astype(float)
+            report = exhaustive_woven_check(FrameFamily([Frame(x) for x in v]))
+            if report.universal_upper**d >= 1e10:
+                continue
+            assert report.woven == integer_woven(v), v
+            verdicts.append(report.woven)
+        assert len(verdicts) > 200 and 20 < verdicts.count(False) < len(verdicts) - 20
+
+    def test_integer_oracle_on_known_families(self):
+        f, g = example_pair()
+        assert integer_woven(FrameFamily([f, g]).stack)
+        assert not integer_woven(counterexample_family().stack)
+        # a pool of rank d - 2 spans no hyperplane, and no weaving spans
+        assert not integer_woven(np.array([[[1, 0, 0], [2, 0, 0], [3, 0, 0]]] * 2))
+        assert not integer_woven(np.zeros((2, 3, 2)))
 
     def test_thread_count_invariance(self, monkeypatch):
         rng = np.random.default_rng(37)
@@ -887,16 +911,16 @@ class TestWeavingDuals:
     def test_alternate_decomposes_s_w_once(self, monkeypatch):
         stacks = []
 
-        def counted(stack, vectors=False):
-            stacks.append(np.array(stack))
-            return solve(stack, vectors)
+        def counted(s):
+            stacks.append(np.array(s))
+            return solve(s)
 
-        solve = linalg.jacobi_eigh_batch
-        monkeypatch.setattr(linalg, "jacobi_eigh_batch", counted)
+        solve = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         fam, p = example_family(), Partition((0, 0, 1), 2)
         weaving_alternate_dual(fam, p, np.array([[1.0], [0.0]]))
         s_w = weaving_operator(fam, p)
-        assert sum(s.shape == (1, 2, 2) and np.array_equal(s[0], s_w) for s in stacks) == 1
+        assert sum(np.array_equal(s, s_w) for s in stacks) == 1
 
     def test_raw_form_never_computes_the_kernel(self, monkeypatch):
         def refused(m):
@@ -960,3 +984,77 @@ class TestTightWeaving:
         zero = Frame(np.zeros((3, 2)))
         assert is_tight_weaving(FrameFamily([zero, zero]), Partition((0, 1, 0), 2)) is None
 
+
+
+def replay_families(rng, m, n, d):
+    """Six eps 0.3 near-copy families, then every kind of ``flat_families``."""
+    near = []
+    for _ in range(6):
+        base = rng.normal(size=(n, d))
+        near.append([base] + [base + 0.3 * rng.normal(size=(n, d)) for _ in range(m - 1)])
+    kinds = list(flat_families(rng, m, n, d).values())
+    return [FrameFamily([Frame(x) for x in v]) for v in near + kinds]
+
+
+def assert_replays(fam, rep):
+    """The witness's operator, from weaving_operator and eigvalsh, gives the
+    report's lower bound bit for bit, and so does weaving_bounds when woven."""
+    s = weaving_operator(fam, rep.witness_partition)
+    assert max(float(np.linalg.eigvalsh(s)[0]), 0.0) == rep.universal_lower
+    if rep.woven:
+        assert weaving_bounds(fam, rep.witness_partition).lower == rep.universal_lower
+
+
+def recorded_walks(monkeypatch):
+    """Record the prefix of every flat scan chunk."""
+    prefixes = []
+    walk = weaving._walk
+
+    def recording_walk(outer, prefix, *args):
+        prefixes.append(prefix)
+        return walk(outer, prefix, *args)
+
+    monkeypatch.setattr(weaving, "_walk", recording_walk)
+    return prefixes
+
+
+class TestReplay:
+    """Every scan report's witness replays its bound: the package builds and
+    solves each weaving operator as the scans build and solve theirs."""
+
+    def test_cell_path(self, monkeypatch):
+        walks = recorded_walks(monkeypatch)
+        rng = np.random.default_rng(191)
+        for m, n in ((2, 12), (3, 7)):
+            for i, fam in enumerate(replay_families(rng, m, n, 2)):
+                walks.clear()
+                assert_replays(fam, exhaustive_woven_check(fam))
+                # the near-copy families take the cell path
+                assert i >= 6 or not walks
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_flat_path_in_chunks(self, monkeypatch, threads):
+        monkeypatch.setattr(weaving, "_MAX_CHUNK", 64)
+        walks = recorded_walks(monkeypatch)
+        rng = np.random.default_rng(193)
+        for m, n, d, chunks in ((2, 12, 3, 64), (3, 6, 4, 27)):
+            for fam in replay_families(rng, m, n, d):
+                walks.clear()
+                assert_replays(fam, exhaustive_woven_check(fam, threads=threads))
+                assert len(walks) == chunks
+
+    def test_sampled(self):
+        rng = np.random.default_rng(197)
+        for m, n, d in ((2, 12, 2), (2, 12, 3), (3, 9, 4)):
+            for seed, fam in enumerate(replay_families(rng, m, n, d)):
+                assert_replays(fam, sampled_woven_estimate(fam, samples=300, seed=seed))
+
+    def test_one_frame_bounds_are_the_scans(self):
+        rng = np.random.default_rng(199)
+        for n, d in ((3, 2), (7, 3), (12, 8)):
+            for _ in range(10):
+                fr = Frame(rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1)))
+                b = frame_bounds(fr)
+                for rep in (exhaustive_woven_check(FrameFamily([fr])),
+                            sampled_woven_estimate(FrameFamily([fr]), samples=1, seed=1)):
+                    assert (b.lower, b.upper) == (rep.universal_lower, rep.universal_upper)
