@@ -214,8 +214,7 @@ def certify_operator_family(f: Frame, operators, k: int) -> Certificate:
     """
     ops = _operators(operators, f.dim)
     m = len(ops)
-    if not 0 <= k < m:
-        raise ShapeMismatchError(f"index k={k} out of range for {m} operators")
+    _check_reference(k, m)
     bounds = _spanning(frame_bounds(f), "base frame")
     a, b = bounds.lower, bounds.upper
     sigma = singular_values(ops[k].T)

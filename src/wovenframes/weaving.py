@@ -9,11 +9,11 @@ expanding the prefix sum one index at a time, which yields the completions
 in lexicographic order; the sampled scan sums its drawn rows column by
 column.  Either way each operator is summed left to right over j, and the
 witness is the smallest assignment among the minimizers.  The flat
-exhaustive scan walks each chunk's prefix tree: a batched positive-
-definiteness test on a node's partial sum plus rank-one envelopes
-M_j <= f_ij f_ij^T <= N_j of its free indices rules out the whole subtree
-below it, and the same test rules out single operators at the leaves; only
-the operators left are solved.
+exhaustive scan walks each chunk's prefix tree in one loop of levels, the
+last being the completions: at each, a batched positive-definiteness test,
+whose shift holds the rank-one envelopes M_j <= f_ij f_ij^T <= N_j of a
+node's free indices, rules out the whole subtree below a node; only the
+operators left are solved.
 
 For d <= 2 the exhaustive check first lists candidate rows from the cells of
 the arrangement of lines orthogonal to f_ij -+ f_i'j on the half-circle of
@@ -182,38 +182,33 @@ def _chunk_rows(family: FrameFamily) -> int:
     return min(_MAX_CHUNK, max(1, CHUNK_BUDGET // (family.dim**2 * 8)))
 
 
-def _walk(outer: np.ndarray, prefix: tuple[int, ...], cuts, tails):
-    """``_scan`` of every completion of an assignment prefix that no subtree
-    test rules out: (lo, the first tied completion, hi), or (inf, None,
-    -inf) when every one is ruled out.
+def _walk(outer: np.ndarray, prefix: tuple[int, ...], levels):
+    """``_scan`` of every completion of an assignment prefix that no level
+    rules out: (lo, the first tied completion, hi), or (inf, None, -inf)
+    when every one is ruled out.
 
     ``outer`` is the (m, n, d, d) rank-one table.  The prefix's terms are
     summed left to right, then each free index expands every partial sum
     into its m successors, so the completions come out in lexicographic
-    order of their assignments, summed as ``_row_operators`` sums them.  At
-    each level r of ``tails`` = {r: (L_r, U_r)}, the sums S_P of the nodes
-    with r free indices left take ``_scan``'s tests on S_P + L_r and
-    S_P + U_r, where L_r (U_r) is the sum of the lower (upper) envelopes of
-    ``_subtree_tails`` over those indices; a node passing both has every
-    completion W between them, S_P + L_r <= S_W <= S_P + U_r, so none is
-    extreme or tied with one, and it is not expanded.  A level that rules
-    out no node sends the rest straight to the completions.
+    order of their assignments, summed as ``_row_operators`` sums them.
+    One loop runs every positive-definiteness test: at each level r of
+    ``levels`` (``_subtree_tails``), the sums of the nodes with r free
+    indices left take ``_undecided``'s tests, and only those failing one
+    are expanded, down to the completions themselves at r = 0.
     """
     n = outer.shape[1]
     j = max(len(prefix), 1)
     s = _row_operators(outer, np.array([prefix])) if prefix else outer[:, 0]
     ids = np.arange(len(s))
-    for r, (lower, upper) in (tails or {}).items():
+    for r, tests in levels.items():
         s, ids = _expand(outer, s, ids, j, n - r)
         j = n - r
-        undecided = _undecided(s + lower, s + upper, cuts)
-        if undecided.all():
-            break
+        undecided = _undecided(s, tests)
         s, ids = s[undecided], ids[undecided]
     s, ids = _expand(outer, s, ids, j, n)
     if not len(s):
         return np.inf, None, -np.inf
-    lo, tied, hi = _scan(s, cuts)
+    lo, tied, hi = _scan(s)
     suffix = np.unravel_index(ids[tied[0]], (len(outer),) * (n - len(prefix)))
     return lo, prefix + tuple(map(int, suffix)), hi
 
@@ -236,67 +231,63 @@ def _row_operators(outer: np.ndarray, digits: np.ndarray) -> np.ndarray:
     return s
 
 
-def _scan(s: np.ndarray, cuts=None):
+def _scan(s: np.ndarray):
     """Extrema of the spectra of a (K, d, d) stack of frame operators:
-    (min lambda_min, indices attaining it, max lambda_max).  Only operators
-    failing a ``_positive_definite`` test in ``cuts`` are solved (the first
-    alone if none fails), as a pass rules out an extreme or a tie.
-    """
-    kept = np.arange(len(s))
-    if cuts is not None:
-        flagged = _undecided(s, s, cuts)
-        kept = np.flatnonzero(flagged) if flagged.any() else kept[:1]
-    w = np.linalg.eigvalsh(s if len(kept) == len(s) else s[kept])
+    (min lambda_min, indices attaining it, max lambda_max)."""
+    w = np.linalg.eigvalsh(s)
     lo = float(w[:, 0].min())
-    return lo, kept[w[:, 0] == lo], float(w[:, -1].max())
+    return lo, np.flatnonzero(w[:, 0] == lo), float(w[:, -1].max())
 
 
-def _undecided(lower: np.ndarray, upper: np.ndarray, cuts) -> np.ndarray:
-    """Which operators fail the ``_positive_definite`` test of cuts[0] on
-    ``lower`` or of cuts[1] on ``upper``, the second run only when some pass
-    the first."""
-    flagged = ~_positive_definite(lower, *cuts[0])
+def _undecided(s: np.ndarray, tests) -> np.ndarray:
+    """Which operators fail the ``_positive_definite`` test tests[0] or
+    tests[1], the second run only when some pass the first."""
+    flagged = ~_positive_definite(s, *tests[0])
     if not flagged.all():
-        flagged |= ~_positive_definite(upper, *cuts[1])
+        flagged |= ~_positive_definite(s, *tests[1])
     return flagged
 
 
 def _scan_rows(outer: np.ndarray, digits: np.ndarray):
-    """``_scan``, uncut, of a (K, n) array of assignment rows, with the smallest tied row."""
+    """``_scan`` of a (K, n) array of assignment rows, with the smallest tied row."""
     lo, tied, hi = _scan(_row_operators(outer, digits))
     tied = digits[tied]
     # np.lexsort sorts on its last key first, so column 0 goes last
     return lo, tuple(tied[np.lexsort(tied.T[::-1])[0]].tolist()), hi
 
 
-def _positive_definite(s: np.ndarray, scale: float, shift: float) -> np.ndarray:
-    """Whether unpivoted elimination keeps every pivot of A = scale S - shift I
-    positive, for each S of a (K, d, d) stack, on a (d, d, K) copy of its lower
-    triangle.  A diagonal entry only loses a_ik^2 / pivot >= 0, so rounding,
-    overflow and NaN can only fail.  A pass gives Cholesky factors, so A + E
-    > 0 for some ||E|| <= 2d(d + 1) eps ||A|| (Higham, ch. 10); eigvalsh errs
-    by about d eps ||A||.  The scan scales by c so that cT, T the largest
-    weaving trace, lies in [1/2, 1), and its slack is 1e-9 cT >= 5e-10.  A
-    completion has ||A|| <= 2.  A subtree node of ``_walk`` adds c times
-    at most 4 envelopes of ``_envelopes``, each of norm at most
-    (|h_j| + sqrt(lambda_max K_j))^2 <= (m + 1) max_i |f_ij|^2 by
-    Cauchy-Schwarz, as lambda_max K_j <= sum_i |f_ij - h_j|^2 =
-    sum_i |f_ij|^2 - m |h_j|^2; so ||A|| <= m + 2.  Both errors are then
-    below 3e-16 d(d + 1)(m + 2), under the slack whenever
-    d(d + 1)(m + 2) < 10^6.  That holds for every scan
-    that can finish: nodes need m^2 <= _MAX_CHUNK, so m <= 128, and cuts
-    need n >= d, so the scan builds m^n >= m^d >= 2^500 operators otherwise.
-    Forming the envelopes and summing a node's n + 4 terms err by
-    O((m sqrt(d) + n) eps T), far below it too.  So a pass puts the computed
-    lambda_min (lambda_max) of every operator the tested matrix bounds
-    strictly beyond the shift's attained eigenvalue.
+def _positive_definite(s: np.ndarray, scale: float, shift: np.ndarray) -> np.ndarray:
+    """Whether unpivoted elimination keeps every pivot of A = scale S - shift
+    positive, for each S of a (K, d, d) stack and a symmetric (d, d) shift,
+    on (d, d, K) copies of their lower triangles.  A diagonal entry only
+    loses a_ik^2 / pivot >= 0, so rounding, overflow and NaN can only fail.
+    A pass gives Cholesky factors, so A + E > 0 for some ||E|| <= 2d(d + 1)
+    eps ||A|| (Higham, ch. 10); eigvalsh errs by about d eps ||A||.  At a
+    level r of ``_subtree_tails``, A = c (S + L_r) - c t_lo I or
+    c t_hi I - c (S + U_r), L_r (U_r) a sum of r lower (upper) envelopes
+    of ``_envelopes``, where c puts cT, T the largest weaving trace, in
+    [1/2, 1) and the slack in t_lo and t_hi is 1e-9 cT >= 5e-10.  A
+    completion (r = 0) has ||A|| <= 2.  A node adds c times at most 4
+    envelopes, each of norm at most (|h_j| + sqrt(lambda_max K_j))^2 <=
+    (m + 1) max_i |f_ij|^2 by Cauchy-Schwarz, as lambda_max K_j <=
+    sum_i |f_ij - h_j|^2 = sum_i |f_ij|^2 - m |h_j|^2; so ||A|| <= m + 2.
+    Both errors are then below 3e-16 d(d + 1)(m + 2), under the slack
+    whenever d(d + 1)(m + 2) < 10^6.  That holds for every scan that can
+    finish: nodes need m^2 <= _MAX_CHUNK, so m <= 128, and tests need
+    n >= d, so the scan builds m^n >= m^d >= 2^500 operators otherwise.
+    Forming the envelopes, summing a node's n + 4 terms, and forming each
+    level's shift once, one rounding per entry as forming S + L_r would
+    add, err by O((m sqrt(d) + n) eps T), far below it too.  So a pass puts
+    the computed lambda_min (lambda_max) of every operator the tested
+    matrix bounds strictly beyond t_lo (t_hi): no extreme weaving, nor any
+    weaving tied with one, is ever ruled out.
     """
     k, d, _ = s.shape
     a, ok = np.empty((d, d, k)), np.ones(k, dtype=bool)
     with np.errstate(all="ignore"):
         for i in range(d):
             np.multiply(s[:, i, : i + 1].T, scale, out=a[i, : i + 1])
-            a[i, i] -= shift
+            a[i, : i + 1] -= shift[i, : i + 1, None]
         for j in range(d):
             ok &= a[j, j] > 0
             if not ok.any():
@@ -308,9 +299,9 @@ def _positive_definite(s: np.ndarray, scale: float, shift: float) -> np.ndarray:
 
 
 def _descent_cuts(family: FrameFamily, outer: np.ndarray):
-    """(scale, shift) of ``_scan``'s tests c S - c t_lo I and c t_hi I - c S,
-    where c = 2^-e puts the largest weaving trace T, a normal float, in
-    [1/2, 1).  From each constant weaving, descent moves W to the pointwise
+    """(scale, shift) of the tests c S - c t_lo I and c t_hi I - c S, for
+    ``_subtree_tails``, where c = 2^-e puts the largest weaving trace T, a
+    normal float, in [1/2, 1).  From each constant weaving, descent moves W to the pointwise
     argmin of <f_ij, x>^2 at the eigenvector x of lambda_min(S_W), which
     cannot raise lambda_min, until the rows stop improving; ascent does so
     for lambda_max.  Solving the 2m rows as the scan does gives t_lo =
@@ -373,15 +364,19 @@ def _envelopes(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
-def _subtree_tails(stack: np.ndarray, free: int) -> dict:
-    """{r: (sum of M_j, sum of N_j) over the last r indices} of
-    ``_envelopes``, for each level r <= ``free`` of _LEVELS, outermost
-    first; the envelopes are only formed when some level fits."""
-    levels = [r for r in _LEVELS if r <= free]
-    if not levels:
-        return {}
-    lower, upper = _envelopes(stack)
-    return {r: (lower[-r:].sum(axis=0), upper[-r:].sum(axis=0)) for r in levels}
+def _subtree_tails(stack: np.ndarray, free: int, cuts) -> dict:
+    """``_walk``'s levels {r: tests}, for each r <= ``free`` of _LEVELS,
+    outermost first, then r = 0.  Each (scale, shift) of ``cuts`` becomes
+    (scale, shift I - scale E), E the sum of the lower (upper) envelopes of
+    ``_envelopes`` over the last r indices for the lower (upper) test, 0 at
+    r = 0.  A node P passing both tests has every completion W within
+    S_P + L_r <= S_W <= S_P + U_r, so none is extreme or tied with one."""
+    sums = {0: (0.0, 0.0)}
+    if levels := [r for r in _LEVELS if r <= free]:
+        lower, upper = _envelopes(stack)
+        sums = {r: (lower[-r:].sum(axis=0), upper[-r:].sum(axis=0)) for r in levels} | sums
+    eye = np.eye(stack.shape[2])
+    return {r: tuple((c, t * eye - c * e) for (c, t), e in zip(cuts, es)) for r, es in sums.items()}
 
 
 def _reduce_scan(family, chunks, examined, mode, seed=None) -> WeavingReport:
@@ -483,12 +478,12 @@ def exhaustive_woven_check(
     indices as fit a (K, d, d) operator stack within CHUNK_BUDGET.
     ``_walk`` rules out the subtrees of the prefix, 4 and then 2 indices
     from the end, whose envelopes of ``_envelopes`` keep every completion
-    away from both extremes, and ``_scan`` solves only the completions left
-    that could be extreme, unless n < d (every operator singular) or the
-    largest trace is subnormal (no room for slack, on either path): then
-    nothing is ruled out and all are solved.  No completion that is
-    extreme, or tied with one, is ever ruled out, so the report is that of
-    solving all m^n.  Either way ``cap`` bounds m^n, ``partitions_examined``
+    away from both extremes, then the completions left that cannot be
+    extreme, and ``_scan`` solves the rest, unless n < d (every operator
+    singular) or the largest trace is subnormal (no room for slack, on
+    either path): then nothing is ruled out and all are solved.  No
+    completion that is extreme, or tied with one, is ever ruled out, so the
+    report is that of solving all m^n.  Either way ``cap`` bounds m^n, ``partitions_examined``
     is m^n, chunks run on a pool of ``threads`` workers, and the min/max
     reduction runs in chunk order, so any thread count gives the same report.
     """
@@ -516,12 +511,13 @@ def exhaustive_woven_check(
         while depth < n and 1 < m ** (depth + 1) <= rows:
             depth += 1
         tasks = list(itertools.product(range(m), repeat=n - depth))
-        cuts = _descent_cuts(family, outer) if normal and n >= family.dim else None
-        # an empty prefix starts from the m choices at index 0
-        tails = _subtree_tails(family.stack, min(depth, n - 1)) if cuts is not None else None
+        levels = {}
+        if normal and n >= family.dim:
+            # an empty prefix starts from the m choices at index 0
+            levels = _subtree_tails(family.stack, min(depth, n - 1), _descent_cuts(family, outer))
 
         def run(prefix):
-            return _walk(outer, prefix, cuts, tails)
+            return _walk(outer, prefix, levels)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return _reduce_scan(family, pool.map(run, tasks), total, "exhaustive")

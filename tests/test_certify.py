@@ -230,6 +230,13 @@ class TestOperatorFamily:
         with pytest.raises(ShapeMismatchError):
             certify_operator_family(f, [np.eye(3), np.eye(3)], 0)
 
+    @pytest.mark.parametrize("k", [-1, 2])
+    def test_reference_out_of_range(self, k):
+        # the same range check, and message, as every family certifier
+        f, _ = example_pair()
+        with pytest.raises(ShapeMismatchError, match=rf"^index k={k} out of range for m=2$"):
+            certify_operator_family(f, [np.eye(2), np.eye(2)], k)
+
     def test_identity_reference_left_inverse_norm(self):
         f, _ = example_pair()
         cert = certify_operator_family(f, [np.eye(2), 1.1 * np.eye(2)], 0)

@@ -201,9 +201,9 @@ class TestWeaveCheck:
         stacks = []
         scan = weaving._scan
 
-        def recording_scan(s, *cuts):
+        def recording_scan(s):
             stacks.append(len(s))
-            return scan(s, *cuts)
+            return scan(s)
 
         monkeypatch.setattr(weaving, "_scan", recording_scan)
         for path, words in ((pair_file, 8), (cells, 2**15), (all_tied, 2**15), (two_chunks, 2**15)):

@@ -298,9 +298,9 @@ class TestExhaustiveCheck:
         stacks = []
         scan = weaving._scan
 
-        def recording_scan(s, *cuts):
+        def recording_scan(s):
             stacks.append(s.nbytes)
-            return scan(s, *cuts)
+            return scan(s)
 
         monkeypatch.setattr(weaving, "_scan", recording_scan)
         reports = [exhaustive_woven_check(fam, threads=t) for t in (1, 2)]
@@ -323,8 +323,8 @@ class TestExhaustiveCheck:
         prefix = tuple(int(x) for x in rng.integers(0, m, size=n - depth))
         digits = np.array([prefix + s for s in itertools.product(range(m), repeat=depth)])
         stacks = []
-        monkeypatch.setattr(weaving, "_scan", lambda s, cuts: stacks.append(s) or (0.0, [0], 0.0))
-        weaving._walk(outer, prefix, None, None)
+        monkeypatch.setattr(weaving, "_scan", lambda s: stacks.append(s) or (0.0, [0], 0.0))
+        weaving._walk(outer, prefix, {})
         assert np.array_equal(stacks[0], gather_operators(outer, digits))
 
     def test_row_operators_match_the_per_row_gather(self):
@@ -378,9 +378,9 @@ def scanned_operators(monkeypatch):
     sizes = []
     scan = weaving._scan
 
-    def recording_scan(s, *cuts):
+    def recording_scan(s):
         sizes.append(len(s))
-        return scan(s, *cuts)
+        return scan(s)
 
     monkeypatch.setattr(weaving, "_scan", recording_scan)
     return sizes
@@ -483,17 +483,19 @@ def refuse(*args):
     raise AssertionError("the scan plan must not call this")
 
 
-def scanned_cuts(monkeypatch):
-    """Record the cuts handed to the eigen kernel with every stack."""
-    cuts = []
-    scan = weaving._scan
+def leaf_tested(monkeypatch):
+    """Record how many completions of each chunk reach the leaf test."""
+    reached = []
+    expand = weaving._expand
 
-    def recording_scan(s, *args):
-        cuts.append(args[0] if args else None)
-        return scan(s, *args)
+    def recording_expand(outer, s, ids, start, stop):
+        s, ids = expand(outer, s, ids, start, stop)
+        if start < stop == outer.shape[1]:
+            reached.append(len(s))
+        return s, ids
 
-    monkeypatch.setattr(weaving, "_scan", recording_scan)
-    return cuts
+    monkeypatch.setattr(weaving, "_expand", recording_expand)
+    return reached
 
 
 class TestFlatScanCuts:
@@ -515,7 +517,8 @@ class TestFlatScanCuts:
         # operator, without a warning
         monkeypatch.setattr(weaving, "_cell_candidates", refuse)
         monkeypatch.setattr(weaving, "_descent_cuts", refuse)
-        cuts = scanned_cuts(monkeypatch)
+        monkeypatch.setattr(weaving, "_positive_definite", refuse)
+        scans = scanned_operators(monkeypatch)
         rng = np.random.default_rng(109)
         for scale, d in itertools.product((1e-155, 1e-160, 1e-162), (2, 3)):
             fam = FrameFamily([Frame(scale * rng.normal(size=(8, d))) for _ in range(2)])
@@ -523,7 +526,7 @@ class TestFlatScanCuts:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert exhaustive_woven_check(fam) == full_flat_scan(fam)
-        assert cuts and not any(cuts)
+        assert scans == [2**8] * 3 * 2
 
     @pytest.mark.parametrize("m, n, d, chunks", [(2, 7, 9, 2), (3, 4, 8, 3), (2, 8, 12, 4)])
     def test_n_below_d_takes_no_cuts(self, monkeypatch, m, n, d, chunks):
@@ -531,14 +534,15 @@ class TestFlatScanCuts:
         # several chunks of at most 64
         monkeypatch.setattr(weaving, "_MAX_CHUNK", 64)
         monkeypatch.setattr(weaving, "_descent_cuts", refuse)
-        cuts = scanned_cuts(monkeypatch)
+        monkeypatch.setattr(weaving, "_positive_definite", refuse)
+        scans = scanned_operators(monkeypatch)
         rng = np.random.default_rng(131 + 10 * n + d)
         for kind, v in flat_families(rng, m, n, d).items():
             fam = FrameFamily([Frame(x) for x in v])
             expected = full_flat_scan(fam)
             for t in (1, 2):
                 assert exhaustive_woven_check(fam, threads=t) == expected, (kind, t)
-        assert len(cuts) == 7 * 2 * chunks and not any(cuts)
+        assert len(scans) == 7 * 2 * chunks
 
     def test_rules_out_most_operators(self, monkeypatch):
         rng = np.random.default_rng(97)
@@ -630,22 +634,19 @@ class TestSubtreeEnvelopes:
             base = rng.normal(size=(n, d))
             fam = FrameFamily([Frame(base + eps * rng.normal(size=(n, d))) for _ in range(m)])
             outer = weaving._rank_one_table(fam)
-            cuts = weaving._descent_cuts(fam, outer)
-            tails = weaving._subtree_tails(fam.stack, n - 1)
-            for r, (low, high) in tails.items():
+            levels = weaving._subtree_tails(fam.stack, n - 1, weaving._descent_cuts(fam, outer))
+            assert list(levels) == [4, 2, 0]
+            for r in (4, 2):
                 prefixes = rng.integers(0, m, size=(60, n - r))
                 nodes = weaving._row_operators(outer, prefixes)
-                node_passes = [
-                    weaving._positive_definite(nodes + low, *cuts[0]),
-                    weaving._positive_definite(nodes + high, *cuts[1]),
-                ]
+                node_passes = [weaving._positive_definite(nodes, *test) for test in levels[r]]
                 for k, prefix in enumerate(prefixes):
                     rows = np.array([tuple(prefix) + s for s in itertools.product(range(m), repeat=r)])
                     leaves = weaving._row_operators(outer, rows)
                     for side in (0, 1):
                         if node_passes[side][k]:
                             passed += 1
-                            assert weaving._positive_definite(leaves, *cuts[side]).all()
+                            assert weaving._positive_definite(leaves, *levels[0][side]).all()
         assert passed > 200
 
     @pytest.mark.parametrize("m, n, d, chunks", [(2, 10, 3, 16), (3, 6, 4, 27)])
@@ -654,31 +655,48 @@ class TestSubtreeEnvelopes:
         # 64 operators per chunk: (2, 10, 3) tests the levels r = 4 and 2,
         # (3, 6, 4) only r = 2
         monkeypatch.setattr(weaving, "_MAX_CHUNK", 64)
-        scans = scanned_operators(monkeypatch)
+        reached = leaf_tested(monkeypatch)
         rng = np.random.default_rng(167 + 10 * n + d)
         for kind, v in flat_families(rng, m, n, d).items():
             fam = FrameFamily([Frame(np.ldexp(x, k)) for x in v])
             expected = full_flat_scan(fam)
             for t in (1, 2):
                 assert exhaustive_woven_check(fam, threads=t) == expected, (kind, t)
-        # subtrees were ruled out on the way, and so were whole chunks, which
-        # then solve nothing
-        assert sum(scans) < 7 * 2 * m**n
-        assert len(scans) < 7 * 2 * chunks
+        # subtrees were ruled out on the way, and so were whole chunks, none
+        # of whose completions then reach the leaf test
+        assert sum(reached) < 7 * 2 * m**n
+        assert sum(map(bool, reached)) < 7 * 2 * chunks
 
     @pytest.mark.parametrize("flip_signs", [False, True])
     def test_rules_out_most_subtrees(self, monkeypatch, flip_signs):
         # fewer than a quarter of the four families' 2^16 completions each
         # reach the leaf test (the family of seed 2 alone leaves 27 %)
-        scans = scanned_operators(monkeypatch)
+        reached = leaf_tested(monkeypatch)
         for seed in (1, 2, 3, 173):
             fam = pruned_family(np.random.default_rng(seed), flip_signs)
             assert exhaustive_woven_check(fam) == full_flat_scan(fam)
-        assert sum(scans) < 4 * 2**16 // 4
+        assert sum(reached) < 4 * 2**16 // 4
+
+    def test_a_level_that_rules_out_nothing_does_not_end_the_walk(self, monkeypatch):
+        # an eps 0.3 (4, 8, 4) family on which no node passes the lower test
+        # at r = 4: the nodes at r = 2 are still tested, so fewer than all
+        # 4^8 completions reach the leaf test
+        rng = np.random.default_rng(7)
+        base = rng.standard_normal((8, 4))
+        frames = [base] + [base + 0.3 * rng.standard_normal((8, 4)) for _ in range(3)]
+        fam = FrameFamily([Frame(v) for v in frames])
+        reached = leaf_tested(monkeypatch)
+        assert exhaustive_woven_check(fam) == full_flat_scan(fam)
+        assert len(reached) == 4 and sum(reached) < 4**8
 
 
 class TestPositiveDefinite:
-    """weaving._positive_definite against eigvalsh of scale S - shift I."""
+    """weaving._positive_definite against eigvalsh of scale S - shift I, with
+    the shift passed as the matrix shift * I."""
+
+    @staticmethod
+    def passes(s, scale, shift):
+        return weaving._positive_definite(s, scale, shift * np.eye(s.shape[1]))
 
     @staticmethod
     def spectrum(s, scale, shift):
@@ -693,7 +711,7 @@ class TestPositiveDefinite:
                 for scale, q in ((1.0, 0.3), (0.5, 0.7), (-1.0, 0.5)):
                     shift = np.quantile(self.spectrum(s, scale, 0.0)[:, 0], q)
                     low = self.spectrum(s, scale, shift)[:, 0]
-                    ok = weaving._positive_definite(s, scale, shift)
+                    ok = self.passes(s, scale, shift)
                     tol = 1e-12 * np.max(np.abs(s))
                     assert np.all(low[ok] > -tol)
                     assert np.all(ok[low > tol])
@@ -704,17 +722,17 @@ class TestPositiveDefinite:
         x = rng.normal(size=(50, 6, 4))
         singular = x @ x.transpose(0, 2, 1)
         trace = np.trace(singular, axis1=1, axis2=2).max()
-        assert not weaving._positive_definite(singular, 1.0, 1e-9 * trace).any()
-        assert not weaving._positive_definite(np.zeros((3, 4, 4)), 1.0, 0.0).any()
+        assert not self.passes(singular, 1.0, 1e-9 * trace).any()
+        assert not self.passes(np.zeros((3, 4, 4)), 1.0, 0.0).any()
         indefinite = np.array([np.diag([1.0, -1.0, 2.0]), [[1.0, 2, 0], [2, 1, 0], [0, 0, 1]]])
-        assert not weaving._positive_definite(indefinite, 1.0, 0.0).any()
-        assert not weaving._positive_definite(-indefinite, -1.0, 0.0).any()
+        assert not self.passes(indefinite, 1.0, 0.0).any()
+        assert not self.passes(-indefinite, -1.0, 0.0).any()
 
     def test_one_by_one(self):
         s = np.array([-1.0, 0.0, 5e-324, 1e-300, 3.0]).reshape(-1, 1, 1)
         for shift in (0.0, 1e-300, 2.0):
             expected = s[:, 0, 0] - shift > 0
-            np.testing.assert_array_equal(weaving._positive_definite(s, 1.0, shift), expected)
+            np.testing.assert_array_equal(self.passes(s, 1.0, shift), expected)
 
     def test_overflow_and_nan_fail_quietly(self):
         # tiny pivots make the multipliers overflow to inf, and inf - inf is NaN
@@ -724,9 +742,9 @@ class TestPositiveDefinite:
             [[1e300, 1e300], [1e300, 1e300]],
         ])
         with np.errstate(all="raise"):
-            ok = weaving._positive_definite(s, 1.0, 0.0)
+            ok = self.passes(s, 1.0, 0.0)
             assert not ok.any()
-            assert not weaving._positive_definite(s, 1e10, -1.0).any()
+            assert not self.passes(s, 1e10, -1.0).any()
 
     def test_reads_only_the_lower_triangle(self):
         rng = np.random.default_rng(107)
@@ -736,8 +754,28 @@ class TestPositiveDefinite:
         poisoned = s.copy()
         poisoned[:, np.triu_indices(5, 1)[0], np.triu_indices(5, 1)[1]] = np.nan
         np.testing.assert_array_equal(
-            weaving._positive_definite(poisoned, 1.0, shift), weaving._positive_definite(s, 1.0, shift)
+            self.passes(poisoned, 1.0, shift), self.passes(s, 1.0, shift)
         )
+        upper = shift * np.eye(5)
+        upper[np.triu_indices(5, 1)] = np.nan
+        np.testing.assert_array_equal(
+            weaving._positive_definite(s, 1.0, upper), self.passes(s, 1.0, shift)
+        )
+
+    def test_matrix_shift_agrees_with_eigvalsh(self):
+        # scale S - shift for a symmetric shift that is not a multiple of I
+        rng = np.random.default_rng(109)
+        for d in range(1, 9):
+            x = rng.normal(size=(400, d, d + 1))
+            s = x @ x.transpose(0, 2, 1)
+            e = rng.normal(size=(d, d))
+            for scale in (0.5, -1.0):
+                shift = e @ e.T * (0.2 if scale > 0 else -5.0)
+                low = np.linalg.eigvalsh(scale * s - shift)[:, 0]
+                ok = weaving._positive_definite(s, scale, shift)
+                tol = 1e-12 * np.max(np.abs(s))
+                assert np.all(low[ok] > -tol)
+                assert np.all(ok[low > tol])
 
 
 @st.composite
