@@ -5,12 +5,22 @@ Exit codes: 0 = check passed / certificate satisfied / info rendered,
 2 = usage or input error.  Reports go to stdout as deterministic JSON;
 errors go to stderr as a single machine-parsable line, written in one place:
 the group class of ``main``.
+
+A process starts at ``run``, the entry of both ``python -m wovenframes`` and
+the ``wovenframes`` script: it calls ``main``, flushes stdout and stderr, and
+ends with ``os._exit``, skipping the interpreter's teardown (about 20 ms of a
+140 ms run, after the report is already written).  Any exception other than
+``SystemExit`` leaves ``run`` as it came, with its traceback and the normal
+exit.  Called in-process, as ``CliRunner`` calls it, ``main`` raises
+``SystemExit`` as any click group does, and nothing ends the interpreter.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
+from typing import NoReturn
 
 import click
 
@@ -299,5 +309,24 @@ def certify_cmd(opts, method, file, k, lambdas, mus, ops, universal, perturbed):
     _emit("certify", inputs, cert, positive=cert.hypothesis_satisfied)
 
 
-if __name__ == "__main__":
-    main()
+def run() -> NoReturn:
+    """Run ``main`` as a process and end it without interpreter teardown.
+
+    Only ``SystemExit`` is caught; its code maps to an exit status as CPython
+    maps it: None is 0, an int is itself, anything else is printed to stderr
+    and exits 1.  Both streams are flushed before ``os._exit``, so a report
+    arrives whole, and a flush that fails raises here like any other write.
+    The scans join their worker threads before a report is emitted, so no
+    thread is running at exit.
+    """
+    code = None
+    try:
+        main()
+    except SystemExit as exc:
+        code = exc.code
+    if code is not None and not isinstance(code, int):
+        print(code, file=sys.stderr)
+        code = 1
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code or 0)

@@ -1,5 +1,10 @@
+import errno
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -641,6 +646,78 @@ class TestErrorContract:
             res = runner.invoke(main, args)
             assert res.exit_code == 0
             assert res.stdout.startswith("Usage: ")
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_process(args, stdout=subprocess.PIPE):
+    """``python -m wovenframes args`` as a child process.  PYTHONUNBUFFERED is
+    removed, so stdout is block-buffered, as it is under a shell pipe."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(
+        [sys.executable, "-m", "wovenframes", *args],
+        stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120,
+    )
+
+
+class TestProcessEntry:
+    """A process ends through ``cli.run``, with ``os._exit`` in place of the
+    interpreter's teardown; it must print what ``main`` prints under CliRunner,
+    byte for byte, and exit with the same code."""
+
+    @pytest.fixture
+    def files(self, tmp_path, pair_file, counter_file):
+        overflow = tmp_path / "overflow.json"
+        overflow.write_text(json.dumps(OVERFLOW))
+        absent = tmp_path / "absent.json"
+        return {"pair": pair_file, "counter": counter_file, "overflow": str(overflow), "absent": str(absent)}
+
+    @pytest.mark.parametrize(
+        "args, code, error",
+        [
+            (["weave", "check", "{pair}"], 0, None),
+            (["weave", "check", "{counter}"], 1, None),
+            # one error the library raises, one click raises, one from a family that overflows
+            (["weave", "check", "{absent}"], 2, "parse-error"),
+            (["--threads", "abc", "weave", "check", "{pair}"], 2, "invalid-argument"),
+            (["weave", "check", "{overflow}"], 2, "invalid-argument"),
+            (["--help"], 0, None),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+    )
+    def test_matches_the_click_group(self, runner, files, args, code, error):
+        args = [a.format(**files) for a in args]
+        proc = run_process(args)
+        # click names the program after how it was started
+        res = runner.invoke(main, args, prog_name="python -m wovenframes")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (res.exit_code, res.stdout_bytes, res.stderr_bytes)
+        assert proc.returncode == code
+        if error is not None:
+            assert proc.stdout == b""
+            assert len(proc.stderr.splitlines()) == 1
+            assert json.loads(proc.stderr)["error"] == error
+
+    def test_a_report_larger_than_a_pipe_arrives_whole(self, runner, tmp_path):
+        rng = np.random.default_rng(600)
+        path = write_family(tmp_path / "big.json", FrameFamily([Frame(rng.normal(size=(600, 8))) for _ in range(2)]))
+        args = ["weave", "dual", path, "--partition", ",".join(str(j % 2) for j in range(600))]
+        proc = run_process(args)
+        res = runner.invoke(main, args)
+        assert len(proc.stdout) > 1 << 16
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, res.stdout_bytes, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_a_failed_report_write_still_fails(self, pair_file):
+        with open("/dev/full", "wb") as full:
+            proc = run_process(["weave", "check", pair_file], stdout=full)
+        # the write error leaves run with its traceback from the report write,
+        # and the teardown's flush of the still-buffered report fails again
+        stderr = proc.stderr.decode()
+        assert proc.returncode == 120
+        assert "in _emit" in stderr
+        assert os.strerror(errno.ENOSPC) in stderr
 
 
 class TestReportShape:
