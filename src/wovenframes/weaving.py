@@ -4,29 +4,19 @@ oracle, and duals of weavings.
 A partition of the index set {0..n-1} over m frames is an assignment row:
 ``assignment[j]`` names the frame contributing vector j.  Both scans hand
 stacks of weaving frame operators to one eigen kernel.  The exhaustive scan
-splits the assignments by a fixed prefix and builds each chunk's operators by
-expanding the prefix sum one index at a time, which yields the completions
-in lexicographic order; the sampled scan sums its drawn rows column by
-column.  Either way each operator is summed left to right over j, and the
-witness is the smallest assignment among the minimizers.  The flat
-exhaustive scan walks each chunk's prefix tree in one loop of levels, the
-last being the completions: at each, a batched positive-definiteness test,
-whose shift holds the rank-one envelopes M_j <= f_ij f_ij^T <= N_j of a
-node's free indices, rules out the whole subtree below a node; only the
-operators left are solved.
-
-For d <= 2 the exhaustive check first lists candidate rows from the cells of
-the arrangement of lines orthogonal to f_ij -+ f_i'j on the half-circle of
-directions: every weaving attaining min lambda_min or max lambda_max is
-pointwise optimal on a cell, and a cell's optimal frames tie for the optimum
-at its ends.  When these rows are fewer than m^n, it scans only them, column
-by column in sorted order; exhaustive_woven_check says what its report keeps.
+walks the tree of assignment prefixes from its root, in the family's own
+index order, carrying each partial sum on to its successors one index at a
+time, so the completions come out in lexicographic order; the sampled scan
+sums its drawn rows column by column.  Either way each operator is summed
+left to right over j, and the witness is the smallest assignment among the
+minimizers.  At every level of the walk a batched positive-definiteness
+test, whose shift holds the rank-one envelopes M_j <= f_ij f_ij^T <= N_j of
+a node's free indices, rules out the whole subtree below a node; only the
+completions left are solved.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -54,10 +44,8 @@ DEFAULT_CAP = 2**22
 # Bytes of the (K, d, d) float64 operator stack one scan chunk holds, per worker.
 CHUNK_BUDGET = 16 * 2**20
 _MAX_CHUNK = 16384
-# Slack of cell-path ties and flat-scan shifts, relative to the largest trace.
+# Slack of the exhaustive scan's test shifts, relative to the largest trace.
 _TIE_RTOL = 1e-9
-# Free indices left at the subtree nodes the flat scan tests, outermost first.
-_LEVELS = (4, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,45 +170,59 @@ def _chunk_rows(family: FrameFamily) -> int:
     return min(_MAX_CHUNK, max(1, CHUNK_BUDGET // (family.dim**2 * 8)))
 
 
-def _walk(outer: np.ndarray, prefix: tuple[int, ...], levels):
-    """``_scan`` of every completion of an assignment prefix that no level
-    rules out: (lo, the first tied completion, hi), or (inf, None, -inf)
-    when every one is ruled out.
+def _walk(plan, s: np.ndarray, ids: np.ndarray, j: int, fan=map):
+    """(lo, first tied id, hi) of ``_scan`` over every completion below the
+    nodes ``s`` that no test rules out, or (inf, None, -inf) when none is
+    left.  A node assigns indices 0..j-1: ``s`` is the (K, d, d) stack of
+    the nodes' partial sums and ``ids`` their lexicographic positions.
 
-    ``outer`` is the (m, n, d, d) rank-one table.  The prefix's terms are
-    summed left to right, then each free index expands every partial sum
-    into its m successors, so the completions come out in lexicographic
-    order of their assignments, summed as ``_row_operators`` sums them.
-    One loop runs every positive-definiteness test: at each level r of
-    ``levels`` (``_subtree_tails``), the sums of the nodes with r free
-    indices left take ``_undecided``'s tests, and only those failing one
-    are expanded, down to the completions themselves at r = 0.
+    ``plan`` is (outer, frames, tails, rows): the (m, n, d, d) rank-one
+    table; for each index, the frames it expands into; the tests of
+    ``_subtree_tails``, or None for none; and the most nodes a stack holds.
+    One loop runs the levels: at each, the nodes take the two
+    ``_positive_definite`` tests for their r = n - j free indices, and only
+    those failing one go on, the completions (j = n) to ``_scan`` and the
+    others to one more index.  When the children would not fit ``rows``,
+    the parents go on in contiguous slices whose children do, each walked
+    depth first; ``fan`` maps them, a pool's map at the first level that
+    splits and map below it.  Children come in lexicographic order and each
+    sum grows left to right, so the completions are the operators
+    ``_row_operators`` builds, and the results fold in slice order to the
+    first tied completion.
     """
+    outer, frames, tails, rows = plan
     n = outer.shape[1]
-    j = max(len(prefix), 1)
-    s = _row_operators(outer, np.array([prefix])) if prefix else outer[:, 0]
-    ids = np.arange(len(s))
-    for r, tests in levels.items():
-        s, ids = _expand(outer, s, ids, j, n - r)
-        j = n - r
-        undecided = _undecided(s, tests)
-        s, ids = s[undecided], ids[undecided]
-    s, ids = _expand(outer, s, ids, j, n)
-    if not len(s):
-        return np.inf, None, -np.inf
-    lo, tied, hi = _scan(s)
-    suffix = np.unravel_index(ids[tied[0]], (len(outer),) * (n - len(prefix)))
-    return lo, prefix + tuple(map(int, suffix)), hi
+    while True:
+        if tails is not None:
+            undecided = ~_positive_definite(s, tails[n - j])
+            if not undecided.all():
+                s, ids = s[undecided], ids[undecided]
+        if not len(s):
+            return np.inf, None, -np.inf
+        if j == n:
+            lo, tied, hi = _scan(s)
+            return lo, ids[tied[0]], hi
+        step = max(1, rows // len(frames[j]))
+        if len(s) > step or len(frames[j]) > rows:
+            break
+        s, ids = _expand(outer, s, ids, j, frames[j])
+        j += 1
+
+    def descend(part):
+        a, b = part
+        children = _expand(outer, s[a : a + step], ids[a : a + step], j, frames[j][b : b + rows])
+        return _walk(plan, *children, j + 1)
+
+    slices = [(a, b) for a in range(0, len(s), step) for b in range(0, len(frames[j]), rows)]
+    return _fold(fan(descend, slices))
 
 
-def _expand(outer: np.ndarray, s: np.ndarray, ids: np.ndarray, start: int, stop: int):
-    """The partial sums ``s`` carried on over indices start..stop-1, each
-    into its m successors, with their lexicographic positions ``ids``."""
-    m, _, d, _ = outer.shape
-    for j in range(start, stop):
-        s = (s[:, None] + outer[None, :, j]).reshape(-1, d, d)
-        ids = (ids[:, None] * m + np.arange(m)).ravel()
-    return s, ids
+def _expand(outer: np.ndarray, s: np.ndarray, ids: np.ndarray, j: int, frames: np.ndarray):
+    """Each partial sum of ``s`` plus the term at index j of each of
+    ``frames``, in that order, with their lexicographic positions ``ids``."""
+    d = outer.shape[2]
+    s = (s[:, None] + outer[None, frames, j]).reshape(-1, d, d)
+    return s, (ids[:, None] * len(outer) + frames).ravel()
 
 
 def _row_operators(outer: np.ndarray, digits: np.ndarray) -> np.ndarray:
@@ -239,15 +241,6 @@ def _scan(s: np.ndarray):
     return lo, np.flatnonzero(w[:, 0] == lo), float(w[:, -1].max())
 
 
-def _undecided(s: np.ndarray, tests) -> np.ndarray:
-    """Which operators fail the ``_positive_definite`` test tests[0] or
-    tests[1], the second run only when some pass the first."""
-    flagged = ~_positive_definite(s, *tests[0])
-    if not flagged.all():
-        flagged |= ~_positive_definite(s, *tests[1])
-    return flagged
-
-
 def _scan_rows(outer: np.ndarray, digits: np.ndarray):
     """``_scan`` of a (K, n) array of assignment rows, with the smallest tied row."""
     lo, tied, hi = _scan(_row_operators(outer, digits))
@@ -256,40 +249,41 @@ def _scan_rows(outer: np.ndarray, digits: np.ndarray):
     return lo, tuple(tied[np.lexsort(tied.T[::-1])[0]].tolist()), hi
 
 
-def _positive_definite(s: np.ndarray, scale: float, shift: np.ndarray) -> np.ndarray:
+def _positive_definite(s: np.ndarray, tests) -> np.ndarray:
     """Whether unpivoted elimination keeps every pivot of A = scale S - shift
-    positive, for each S of a (K, d, d) stack and a symmetric (d, d) shift,
-    on (d, d, K) copies of their lower triangles.  A diagonal entry only
-    loses a_ik^2 / pivot >= 0, so rounding, overflow and NaN can only fail.
-    A pass gives Cholesky factors, so A + E > 0 for some ||E|| <= 2d(d + 1)
-    eps ||A|| (Higham, ch. 10); eigvalsh errs by about d eps ||A||.  At a
-    level r of ``_subtree_tails``, A = c (S + L_r) - c t_lo I or
-    c t_hi I - c (S + U_r), L_r (U_r) a sum of r lower (upper) envelopes
-    of ``_envelopes``, where c puts cT, T the largest weaving trace, in
-    [1/2, 1) and the slack in t_lo and t_hi is 1e-9 cT >= 5e-10.  A
-    completion (r = 0) has ||A|| <= 2.  A node adds c times at most 4
-    envelopes, each of norm at most (|h_j| + sqrt(lambda_max K_j))^2 <=
+    positive for every (scale, shift) of ``tests``, the shift a symmetric
+    (d, d) matrix, for each S of a (K, d, d) stack, on (d, d, len(tests), K)
+    copies of the lower triangles; it stops once no S passes.  A diagonal
+    entry only loses a_ik^2 / pivot >= 0, so rounding, overflow and NaN can
+    only fail.  A pass gives Cholesky factors, so A + E > 0 for some
+    ||E|| <= 2d(d + 1) eps ||A|| (Higham, ch. 10); eigvalsh errs by about
+    d eps ||A||.  A node with r free indices takes the tests of
+    ``_subtree_tails``, A = c (S + L_r) - c t_lo I and c t_hi I - c (S + U_r),
+    L_r (U_r) the sum of the lower (upper) envelopes of ``_envelopes`` over
+    those r indices, where c puts cT, T the largest weaving trace, in
+    [1/2, 1) and the slack in t_lo and t_hi is 1e-9 cT >= 5e-10.  The
+    envelope at j has norm at most (|h_j| + sqrt(lambda_max K_j))^2 <=
     (m + 1) max_i |f_ij|^2 by Cauchy-Schwarz, as lambda_max K_j <=
-    sum_i |f_ij - h_j|^2 = sum_i |f_ij|^2 - m |h_j|^2; so ||A|| <= m + 2.
-    Both errors are then below 3e-16 d(d + 1)(m + 2), under the slack
-    whenever d(d + 1)(m + 2) < 10^6.  That holds for every scan that can
-    finish: nodes need m^2 <= _MAX_CHUNK, so m <= 128, and tests need
-    n >= d, so the scan builds m^n >= m^d >= 2^500 operators otherwise.
-    Forming the envelopes, summing a node's n + 4 terms, and forming each
-    level's shift once, one rounding per entry as forming S + L_r would
-    add, err by O((m sqrt(d) + n) eps T), far below it too.  So a pass puts
-    the computed lambda_min (lambda_max) of every operator the tested
-    matrix bounds strictly beyond t_lo (t_hi): no extreme weaving, nor any
-    weaving tied with one, is ever ruled out.
+    sum_i |f_ij - h_j|^2 = sum_i |f_ij|^2 - m |h_j|^2.  So, with
+    T = sum_j max_i |f_ij|^2, any r envelopes sum to norm at most (m + 1) T,
+    and ||A|| <= m + 2.  Both errors are then below 3e-16 d(d + 1)(m + 2).
+    Forming the envelopes, a node's j terms and a level's sum of r
+    envelopes, one rounding per entry as forming S + L_r would add, err by
+    about (m sqrt(d) + n (m + 1)) eps at most.  All of it stays under the
+    slack whenever (d(d + 1) + n)(m + 2) < 10^6, and the scan runs tests
+    only then.  So a pass puts the computed lambda_min (lambda_max) of
+    every operator the tested matrix bounds strictly beyond t_lo (t_hi):
+    no extreme weaving, nor any weaving tied with one, is ever ruled out.
     """
     k, d, _ = s.shape
-    a, ok = np.empty((d, d, k)), np.ones(k, dtype=bool)
+    a, ok = np.empty((d, d, len(tests), k)), np.ones(k, dtype=bool)
     with np.errstate(all="ignore"):
         for i in range(d):
-            np.multiply(s[:, i, : i + 1].T, scale, out=a[i, : i + 1])
-            a[i, : i + 1] -= shift[i, : i + 1, None]
+            for t, (scale, shift) in enumerate(tests):
+                np.multiply(s[:, i, : i + 1].T, scale, out=a[i, : i + 1, t])
+                a[i, : i + 1, t] -= shift[i, : i + 1, None]
         for j in range(d):
-            ok &= a[j, j] > 0
+            ok &= np.all(a[j, j] > 0, axis=0)
             if not ok.any():
                 break
             l = a[j + 1 :, j] / a[j, j]
@@ -364,103 +358,36 @@ def _envelopes(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
-def _subtree_tails(stack: np.ndarray, free: int, cuts) -> dict:
-    """``_walk``'s levels {r: tests}, for each r <= ``free`` of _LEVELS,
-    outermost first, then r = 0.  Each (scale, shift) of ``cuts`` becomes
-    (scale, shift I - scale E), E the sum of the lower (upper) envelopes of
-    ``_envelopes`` over the last r indices for the lower (upper) test, 0 at
-    r = 0.  A node P passing both tests has every completion W within
+def _subtree_tails(stack: np.ndarray, cuts) -> list:
+    """``_walk``'s two tests for the nodes with r free indices, r = 0..n.
+    Each (scale, shift) of ``cuts`` becomes (scale, shift I - scale E), E
+    the sum of the lower (upper) envelopes of ``_envelopes`` over the last
+    r indices for the lower (upper) test, summed from the last index back.
+    A node P passing both tests has every completion W within
     S_P + L_r <= S_W <= S_P + U_r, so none is extreme or tied with one."""
-    sums = {0: (0.0, 0.0)}
-    if levels := [r for r in _LEVELS if r <= free]:
-        lower, upper = _envelopes(stack)
-        sums = {r: (lower[-r:].sum(axis=0), upper[-r:].sum(axis=0)) for r in levels} | sums
-    eye = np.eye(stack.shape[2])
-    return {r: tuple((c, t * eye - c * e) for (c, t), e in zip(cuts, es)) for r, es in sums.items()}
+    _, n, d = stack.shape
+    (c_lo, t_lo), (c_hi, t_hi) = cuts
+    sums = np.zeros((2, n + 1, d, d))
+    sums[:, 1:] = np.cumsum(np.stack(_envelopes(stack))[:, ::-1], axis=1)
+    eye = np.eye(d)
+    lower, upper = t_lo * eye - c_lo * sums[0], t_hi * eye - c_hi * sums[1]
+    return [((c_lo, a), (c_hi, b)) for a, b in zip(lower, upper)]
 
 
-def _reduce_scan(family, chunks, examined, mode, seed=None) -> WeavingReport:
-    """Fold (lo, row, hi) chunk results in chunk order; the first minimum wins."""
+def _fold(results):
+    """(lo, row, hi) results folded in order; the first minimum wins."""
     best_lo, best_row, best_hi = np.inf, None, -np.inf
-    for lo, row, hi in chunks:
+    for lo, row, hi in results:
         if lo < best_lo:
             best_lo, best_row = lo, row
         best_hi = max(best_hi, hi)
-    lower = max(best_lo, 0.0)
-    upper = max(best_hi, 0.0)
+    return best_lo, best_row, best_hi
+
+
+def _report(family, lo, row, hi, examined, mode, seed=None) -> WeavingReport:
+    lower, upper = max(lo, 0.0), max(hi, 0.0)
     woven = lower > zero_threshold(upper)
-    return WeavingReport(woven, lower, upper, Partition(best_row, family.m), examined, mode, seed)
-
-
-def _cell_candidates(family: FrameFamily, outer: np.ndarray, total: int) -> np.ndarray | None:
-    """Sorted distinct assignment rows, for d <= 2, among which lie every
-    exact minimiser of lambda_min and maximiser of lambda_max over all
-    weavings, whose largest trace is a normal float; None when they would
-    not be fewer than ``total`` = m^n, or when they or the squares below
-    would not fit CHUNK_BUDGET.
-
-    For a unit x, x^T S_W x = sum_j <f_{W(j)j}, x>^2, so a weaving attaining
-    either extreme picks, at its extreme eigenvector x, a pointwise argmin
-    (argmax) of <f_ij, x>^2 at every j.  The squares of frames i and i' at
-    j tie only on the lines orthogonal to f_ij - f_i'j or f_ij + f_i'j, so
-    between two neighbouring such lines (an arc of the half-circle) each
-    argmin and argmax is fixed, and it ties for the optimum at both ends.
-    The rows are the products, at every line and at one reference
-    direction, of the frames within a slack of the optimum: _TIE_RTOL times
-    the largest weaving trace, far above the rounding of the computed lines
-    and squares.  Near ties can only add rows.  A frame whose rank-one term
-    at j is bit-identical to a smaller frame's (f_ij = +-f_kj) gives
-    bit-identical operators, so only the smaller frame, whose rows are
-    smaller, is kept.
-    """
-    v = family.stack
-    m, n, d = v.shape
-    # each direction gives a row per extreme, and its squares, with their two
-    # masked copies, must fit CHUNK_BUDGET too
-    directions_bound = 1 + n * m * (m - 1) if d == 2 else 1
-    if (
-        2 * directions_bound >= total
-        or directions_bound * n * m > CHUNK_BUDGET // 32
-    ):
-        return None
-    terms = outer.reshape(m, n, d * d).view(np.int64)
-    kept = np.ones((m, n), dtype=bool)
-    for k in range(1, m):
-        kept[k] = ~np.any(kept[:k] & np.all(terms[:k] == terms[k], axis=2), axis=0)
-    directions = np.eye(d)[:1]
-    if d == 2:
-        i, k = np.triu_indices(m, 1)
-        normals = np.concatenate([v[i] - v[k], v[i] + v[k]]).reshape(-1, 2)
-        normals = normals[np.tile((kept[i] & kept[k]).ravel(), 2) & np.any(normals != 0, axis=1)]
-        lines = np.stack([-normals[:, 1], normals[:, 0]], axis=1)
-        directions = np.concatenate([directions, lines / np.hypot(*normals.T)[:, None]])
-    # a power of two brings the largest entry into [1/2, 1), clear of underflow
-    scale = np.frexp(np.max(np.abs(v)))[1]
-    sq = np.einsum("ijd,bd->bji", np.ldexp(v, -scale), directions) ** 2
-    slack = _TIE_RTOL * np.ldexp(family.trace, -2 * scale)
-    low = np.where(kept.T, sq, np.inf)
-    high = np.where(kept.T, sq, -np.inf)
-    ties = np.concatenate([
-        low <= low.min(axis=2, keepdims=True) + slack,
-        high >= high.max(axis=2, keepdims=True) - slack,
-    ])
-    if sum(map(math.prod, ties.sum(axis=2).tolist())) > CHUNK_BUDGET // (8 * n):
-        return None
-    rows = np.concatenate([_product_rows(t) for t in ties])
-    # sorted distinct rows; np.unique(axis=0) would import numpy.ma
-    rows = rows[np.lexsort(rows.T[::-1])]
-    rows = rows[np.concatenate([[True], np.any(rows[1:] != rows[:-1], axis=1)])]
-    return rows if len(rows) < total else None
-
-
-def _product_rows(ties: np.ndarray) -> np.ndarray:
-    """Every assignment row picking, at each index j, a frame marked in ``ties[j]``."""
-    rows = ties.argmax(axis=1)[None]
-    for j in np.flatnonzero(ties.sum(axis=1) > 1):
-        choices = np.flatnonzero(ties[j])
-        rows = np.repeat(rows, len(choices), axis=0)
-        rows[:, j] = np.tile(choices, len(rows) // len(choices))
-    return rows
+    return WeavingReport(woven, lower, upper, Partition(row, family.m), examined, mode, seed)
 
 
 def exhaustive_woven_check(
@@ -469,23 +396,24 @@ def exhaustive_woven_check(
     """Decide wovenness exactly, reporting what a scan of all m^n
     assignments finds.
 
-    For d <= 2, whenever ``_cell_candidates`` lists fewer rows than m^n,
-    only those are scanned, in chunks of sorted rows: they hold every exact
-    extreme weaving, up to bit-identical operators, whose smallest row they
-    keep, so the report is the full scan's unless rounding ranks a weaving
-    outside them level with an extreme.  Otherwise, and for every d >= 3,
-    each chunk is every completion of one fixed prefix, with as many free
-    indices as fit a (K, d, d) operator stack within CHUNK_BUDGET.
-    ``_walk`` rules out the subtrees of the prefix, 4 and then 2 indices
-    from the end, whose envelopes of ``_envelopes`` keep every completion
-    away from both extremes, then the completions left that cannot be
-    extreme, and ``_scan`` solves the rest, unless n < d (every operator
-    singular) or the largest trace is subnormal (no room for slack, on
-    either path): then nothing is ruled out and all are solved.  No
-    completion that is extreme, or tied with one, is ever ruled out, so the
-    report is that of solving all m^n.  Either way ``cap`` bounds m^n, ``partitions_examined``
-    is m^n, chunks run on a pool of ``threads`` workers, and the min/max
-    reduction runs in chunk order, so any thread count gives the same report.
+    ``_walk`` walks the tree of assignment prefixes from its root, in the
+    family's index order.  At every level it rules out the nodes whose
+    envelopes of ``_envelopes`` keep every completion away from both
+    extremes, and ``_scan`` solves the completions left.  Nothing is ruled
+    out, and all are solved, when n < d (every operator singular), when
+    the largest trace is subnormal (no room for slack) or when
+    (d(d + 1) + n)(m + 2) >= 10^6 (rounding could outgrow the slack, see
+    ``_positive_definite``).  At each index, a frame whose rank-one term is
+    bit-identical to a smaller frame's is not expanded: every weaving
+    through it has a smaller twin with a bit-identical operator, so
+    identical and +-duplicate frames never build m^n nodes.  No completion
+    that is extreme, or tied with one, is ever ruled out, so the report is
+    that of solving all m^n: ``cap`` bounds m^n and ``partitions_examined``
+    is m^n.  A stack holds at most a quarter of ``_chunk_rows`` nodes,
+    since each level that splits keeps its stack while its slices run.
+    The slices of the first level that splits run on a pool of ``threads``
+    workers, and the min/max reduction runs in slice order, so any thread
+    count gives the same report.
     """
     if threads < 1:
         raise InvalidArgumentError("threads must be >= 1")
@@ -496,31 +424,27 @@ def exhaustive_woven_check(
             f"m^n = {total} exceeds cap {cap}; use sampled mode for an estimate"
         )
     outer = _rank_one_table(family)
-    rows = _chunk_rows(family)
-    normal = family.trace >= np.finfo(float).tiny
-    candidates = _cell_candidates(family, outer, total) if normal and family.dim <= 2 else None
-    if candidates is not None:
-        tasks = range(0, len(candidates), rows)
-
-        def run(start):
-            return _scan_rows(outer, candidates[start : start + rows])
-
-    else:
-        # a single frame has one weaving, so it has no free indices
-        depth = 0
-        while depth < n and 1 < m ** (depth + 1) <= rows:
-            depth += 1
-        tasks = list(itertools.product(range(m), repeat=n - depth))
-        levels = {}
-        if normal and n >= family.dim:
-            # an empty prefix starts from the m choices at index 0
-            levels = _subtree_tails(family.stack, min(depth, n - 1), _descent_cuts(family, outer))
-
-        def run(prefix):
-            return _walk(outer, prefix, levels)
-
+    # bit patterns, so that 0.0 and -0.0 differ
+    terms = outer.reshape(m, n, -1).view(np.int64)
+    twin = [np.all(terms[:i] == terms[i], axis=2).any(axis=0) for i in range(m)]
+    frames = [np.flatnonzero(~column) for column in np.array(twin).T]
+    tails = None
+    d = family.dim
+    if family.trace >= np.finfo(float).tiny and n >= d and (d * (d + 1) + n) * (m + 2) < 10**6:
+        tails = _subtree_tails(family.stack, _descent_cuts(family, outer))
+    # the root is the empty assignment; -0.0 is the identity of IEEE
+    # addition, so its children's sums are the terms themselves
+    root = np.full((1, d, d), -0.0)
+    # lexicographic positions reach m^n - 1, beyond an int64 from 2^63 on
+    ids = np.zeros(1, dtype=np.int64 if total < 2**63 else object)
+    plan = outer, frames, tails, max(1, _chunk_rows(family) // 4)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return _reduce_scan(family, pool.map(run, tasks), total, "exhaustive")
+        lo, ident, hi = _walk(plan, root, ids, 0, pool.map)
+    row = []
+    for _ in range(n):
+        ident, digit = divmod(int(ident), m)
+        row.append(digit)
+    return _report(family, lo, tuple(row[::-1]), hi, total, "exhaustive")
 
 
 def sampled_woven_estimate(family: FrameFamily, samples: int, seed: int) -> WeavingReport:
@@ -542,7 +466,7 @@ def sampled_woven_estimate(family: FrameFamily, samples: int, seed: int) -> Weav
         digits = rng.integers(0, m, size=(min(rows, samples - drawn), n), dtype=np.int64)
         return _scan_rows(outer, digits)
 
-    return _reduce_scan(family, map(run, range(0, samples, rows)), samples, "sampled", seed)
+    return _report(family, *_fold(map(run, range(0, samples, rows))), samples, "sampled", seed)
 
 
 def weaving_canonical_dual(family: FrameFamily, p: Partition) -> Frame:

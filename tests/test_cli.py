@@ -15,6 +15,7 @@ from support import (
     counterexample_family,
     example_pair,
     family_to_dict,
+    full_flat_scan,
     random_woven_family,
 )
 from wovenframes import (
@@ -190,7 +191,7 @@ class TestWeaveCheck:
 
     def test_thread_count_invariant_output(self, runner, pair_file, tmp_path, monkeypatch):
         rng = np.random.default_rng(37)
-        # 2^15 words at d=2: the cell path scans a few candidate rows
+        # 2^15 words at d=2
         cells = write_family(
             tmp_path / "cells.json",
             FrameFamily([Frame(rng.normal(size=(15, 2))) for _ in range(2)]),
@@ -198,7 +199,7 @@ class TestWeaveCheck:
         # identical frames at d=8: all 2^15 weavings tie exactly on lambda_min
         fr = Frame(rng.normal(size=(15, 8)))
         all_tied = write_family(tmp_path / "all_tied.json", FrameFamily([fr, fr]))
-        # 2^15 words at d=3: two flat scan chunks of 2^14
+        # 2^15 words at d=3
         two_chunks = write_family(
             tmp_path / "two_chunks.json",
             FrameFamily([Frame(rng.normal(size=(15, 3))) for _ in range(2)]),
@@ -220,10 +221,9 @@ class TestWeaveCheck:
             assert json.loads(outputs[0])["result"]["partitions_examined"] == words
             assert outputs[0] == outputs[1]
             assert sizes[0] == sizes[1]
-        # the subtree tests leave each of the two chunks at most 2^14 completions
-        assert len(sizes[0]) == 2 and max(sizes[0]) <= 2**14
 
-    def test_cell_path_output_matches_the_flat_scan(self, runner, pair_file, tmp_path, monkeypatch):
+    def test_cell_path_output_matches_the_flat_scan(self, runner, pair_file, tmp_path):
+        # d = 2 families: stdout is the full scan's report, at 1 and 2 threads
         rng = np.random.default_rng(79)
         base = rng.normal(size=(12, 2))
         near = FrameFamily([Frame(base), Frame(base + 0.3 * rng.normal(size=(12, 2)))])
@@ -238,18 +238,16 @@ class TestWeaveCheck:
             write_family(tmp_path / "ints.json", FrameFamily([Frame(x) for x in ints])),
         ]
 
-        def outputs():
-            runs = [
-                runner.invoke(main, ["--threads", t, "weave", "check", path])
-                for path in paths
-                for t in ("1", "2")
-            ]
-            return [(r.exit_code, r.stdout, r.stderr) for r in runs]
-
-        cells = outputs()
-        monkeypatch.setattr(weaving, "_cell_candidates", lambda *args: None)
-        assert cells == outputs()
-        assert {code for code, _, _ in cells} == {0, 1}
+        codes = set()
+        for path in paths:
+            report = full_flat_scan(parse_frame_file(path))
+            inputs = {"file": path, "mode": "exhaustive", "cap": weaving.DEFAULT_CAP}
+            expected = (1 - report.woven, render_report("weave check", inputs, report), "")
+            for t in ("1", "2"):
+                r = runner.invoke(main, ["--threads", t, "weave", "check", path])
+                assert (r.exit_code, r.stdout, r.stderr) == expected
+            codes.add(r.exit_code)
+        assert codes == {0, 1}
 
     def test_fewer_than_one_thread_exit_two(self, runner, pair_file):
         # the group validates --threads, --samples and --seed for every mode

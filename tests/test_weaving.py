@@ -1,4 +1,6 @@
+import collections
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -271,11 +273,11 @@ class TestExhaustiveCheck:
     def test_thread_count_invariance(self, monkeypatch):
         rng = np.random.default_rng(37)
         one_chunk = FrameFamily([Frame(rng.normal(size=(6, 3))) for _ in range(2)])
-        # 2^15 words at d=2: the cell path scans a few candidate rows instead
+        # 2^15 words at d=2
         cells = FrameFamily([Frame(rng.normal(size=(15, 2))) for _ in range(2)])
-        # 3^9 words: three chunks of 3^8 = 6,561 operators, not a power of two
+        # 3^9 words, not a power of two
         three_chunks = FrameFamily([Frame(rng.normal(size=(9, 3))) for _ in range(3)])
-        # 2^15 words at d=3: two flat chunks of 2^14, so the pool really splits the work
+        # 2^15 words at d=3
         two_chunks = FrameFamily([Frame(rng.normal(size=(15, 3))) for _ in range(2)])
         stacks = scanned_operators(monkeypatch)
         for fam in (one_chunk, cells, three_chunks, two_chunks):
@@ -287,12 +289,35 @@ class TestExhaustiveCheck:
             for rep, size in zip(reports[1:], sizes[1:]):
                 assert rep == reports[0]
                 assert size == sizes[0]
-        # the subtree tests leave each of the two chunks at most 2^14 completions
-        assert len(sizes[0]) == 2 and max(sizes[0]) <= 2**14
+            assert max(sizes[0]) <= weaving._chunk_rows(fam)
+
+    def test_a_near_copy_walks_in_blocks(self, monkeypatch):
+        # 1e-12 copies: no node is ruled out, so the walk builds all 2^18
+        # completions, in blocks that split on the pool
+        rng = np.random.default_rng(43)
+        base = rng.normal(size=(18, 3))
+        fam = FrameFamily([Frame(base), Frame(base + 1e-12 * rng.normal(size=(18, 3)))])
+        tested, solved = [], scanned_operators(monkeypatch)
+        positive_definite = weaving._positive_definite
+
+        def recording_positive_definite(s, tests):
+            tested.append(len(s))
+            return positive_definite(s, tests)
+
+        monkeypatch.setattr(weaving, "_positive_definite", recording_positive_definite)
+        reports = []
+        for t in (1, 2):
+            solved.clear()
+            reports.append(exhaustive_woven_check(fam, threads=t))
+            assert sum(solved) == 2**18 and len(solved) >= 2
+        assert max(tested + solved) <= weaving._chunk_rows(fam)
+        monkeypatch.undo()
+        assert reports[0] == reports[1] == full_flat_scan(fam)
 
     def test_chunks_fit_the_gather_budget(self, monkeypatch):
-        # d^2 * 8 B = 12,800 B per operator: 1,310 operators per chunk, so the
-        # 4,096 words split into 4 chunks of 2^10 and 2,000 samples into 2
+        # d^2 * 8 B = 12,800 B per operator: 1,310 operators per chunk, so
+        # 2,000 samples split into 2 chunks, and n < d leaves the walk all
+        # 4,096 words to solve, in blocks of at most a quarter of that
         rng = np.random.default_rng(47)
         fam = FrameFamily([Frame(rng.normal(size=(12, 40))) for _ in range(2)])
         stacks = []
@@ -304,10 +329,12 @@ class TestExhaustiveCheck:
 
         monkeypatch.setattr(weaving, "_scan", recording_scan)
         reports = [exhaustive_woven_check(fam, threads=t) for t in (1, 2)]
-        assert stacks[:4] == [1024 * 40 * 40 * 8] * 4
+        assert sum(stacks) == 2 * 4096 * 40 * 40 * 8
+        assert max(stacks) <= 1310 // 4 * 40 * 40 * 8
+        stacks.clear()
         sampled_woven_estimate(fam, samples=2000, seed=1)
         assert reports[1] == reports[0]
-        assert len(stacks) == 2 * 4 + 2
+        assert len(stacks) == 2
         assert max(stacks) <= weaving.CHUNK_BUDGET
         lo, hi, _ = brute_force_woven([fr.vectors for fr in fam.frames])
         assert not reports[0].woven
@@ -324,7 +351,10 @@ class TestExhaustiveCheck:
         digits = np.array([prefix + s for s in itertools.product(range(m), repeat=depth)])
         stacks = []
         monkeypatch.setattr(weaving, "_scan", lambda s: stacks.append(s) or (0.0, [0], 0.0))
-        weaving._walk(outer, prefix, {})
+        plan = outer, [np.arange(m)] * n, None, m**depth
+        # the empty prefix is the walk's root, whose sum is -0.0
+        node = weaving._row_operators(outer, np.array([prefix])) if prefix else np.full((1, d, d), -0.0)
+        weaving._walk(plan, node, np.zeros(1, dtype=np.int64), n - depth)
         assert np.array_equal(stacks[0], gather_operators(outer, digits))
 
     def test_row_operators_match_the_per_row_gather(self):
@@ -335,19 +365,73 @@ class TestExhaustiveCheck:
             digits = rng.integers(0, m, size=(200, n))
             assert np.array_equal(weaving._row_operators(outer, digits), gather_operators(outer, digits))
 
-    def test_exact_ties_pick_the_all_zeros_witness(self):
+    def test_exact_ties_pick_the_all_zeros_witness(self, monkeypatch):
         # identical frames: every weaving has bit-for-bit the same operator;
-        # the 2^15 words at d=8 fill two chunks, the 3^9 words three
+        # a frame of e1 and one of e2 in R^9: every weaving is singular, and
+        # blocks of at most 16 spread the ties over many slices
         rng = np.random.default_rng(53)
-        for m, n in ((2, 15), (3, 9)):
-            fr = Frame(rng.normal(size=(n, 8)))
-            fam = FrameFamily([fr] * m)
+        families = [FrameFamily([Frame(rng.normal(size=(n, 8)))] * m) for m, n in ((2, 15), (3, 9))]
+        families.append(FrameFamily([Frame(np.tile(e, (8, 1))) for e in np.eye(9)[:2]]))
+        for fam in families:
             for t in (1, 2):
                 rep = exhaustive_woven_check(fam, threads=t)
-                assert rep.witness_partition.assignment == (0,) * n
+                assert rep.witness_partition.assignment == (0,) * fam.size
+            monkeypatch.setattr(weaving, "_MAX_CHUNK", 64)
+        assert rep.universal_lower == 0.0
+
+    def test_twins_are_not_expanded(self, monkeypatch):
+        # identical frames, and integer frames that are +- copies of frame 0
+        # at every index: each weaving has a smaller twin with a bit-identical
+        # operator, so the walk solves one operator, not m^n
+        rng = np.random.default_rng(227)
+        same = Frame(rng.normal(size=(15, 8)))
+        ints = rng.integers(-2, 3, size=(9, 2)).astype(float)
+        signs = rng.choice([-1.0, 1.0], size=(2, 9, 1))
+        families = [
+            FrameFamily([same, same]),
+            FrameFamily([Frame(ints), Frame(signs[0] * ints), Frame(signs[1] * ints)]),
+        ]
+        for fam in families:
+            solved = scanned_operators(monkeypatch)
+            rep = exhaustive_woven_check(fam)
+            monkeypatch.undo()
+            assert sum(solved) < 64
+            assert rep == full_flat_scan(fam)
+
+    def test_more_frames_than_a_block(self, monkeypatch):
+        # blocks of at most 16 nodes and 20 frames: each node's children
+        # come in two slices of frames
+        monkeypatch.setattr(weaving, "_MAX_CHUNK", 64)
+        levels = levels_tested(monkeypatch)
+        rng = np.random.default_rng(233)
+        for d in (1, 2):
+            fam = FrameFamily([Frame(rng.normal(size=(2, d))) for _ in range(20)])
+            for t in (1, 2):
+                levels.clear()
+                assert exhaustive_woven_check(fam, threads=t) == full_flat_scan(fam)
+                assert max(nodes for calls in levels.values() for nodes, _ in calls) == 16
+
+    def test_witness_beyond_int64(self):
+        # m^n >= 2^63: two frames of 66 vectors, identical but at indices 0
+        # and 5, where frame 1 has a zero vector, which the witness takes,
+        # so its lexicographic position outgrows an int64
+        rng = np.random.default_rng(229)
+        v = np.repeat(rng.normal(size=(1, 66, 2)), 2, axis=0)
+        v[1, [0, 5]] = 0.0
+        fam = FrameFamily([Frame(x) for x in v])
+        rep = exhaustive_woven_check(fam, cap=2**66)
+        words = []
+        for a, b in itertools.product(range(2), repeat=2):
+            word = [0] * 66
+            word[0], word[5] = a, b
+            words.append(Partition(tuple(word), 2))
+        lows = [np.linalg.eigvalsh(weaving_operator(fam, p))[0] for p in words]
+        assert rep.witness_partition == words[int(np.argmin(lows))] == words[3]
+        assert rep.partitions_examined == 2**66
+        assert rep.universal_lower == max(min(lows), 0.0)
 
     def test_single_frame_with_more_than_64_vectors(self):
-        # one weaving and no free indices, at d=2 and on the flat path at d=3
+        # one weaving and no free indices, at d=2 and d=3
         rng = np.random.default_rng(73)
         for d in (2, 3):
             f = Frame(rng.normal(size=(100, d)))
@@ -366,13 +450,6 @@ class TestExhaustiveCheck:
             assert abs(a.universal_upper - b.universal_upper) <= 1e-12 * (1 + a.universal_upper)
 
 
-def flat_scan(fam):
-    """The report of the flat scan over all m^n weavings: the cell path declines."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(weaving, "_cell_candidates", lambda *args: None)
-        return exhaustive_woven_check(fam)
-
-
 def scanned_operators(monkeypatch):
     """Record the size of every stack handed to the eigen kernel."""
     sizes = []
@@ -387,6 +464,8 @@ def scanned_operators(monkeypatch):
 
 
 class TestCellPath:
+    """Families of d <= 2 against scans that rule out nothing."""
+
     def test_long_shape_scans_few_operators(self, monkeypatch):
         # the shape of the exhaustive-long benchmark: 2,097,152 weavings
         rng = np.random.default_rng(67)
@@ -396,7 +475,11 @@ class TestCellPath:
         rep = exhaustive_woven_check(fam, threads=2)
         assert 0 < sum(sizes) < 1000
         assert rep.partitions_examined == 2**21
-        assert rep == flat_scan(fam)
+        # with no test passing, the walk solves all 2^21 operators
+        monkeypatch.setattr(weaving, "_positive_definite", lambda s, tests: np.zeros(len(s), dtype=bool))
+        sizes.clear()
+        assert rep == exhaustive_woven_check(fam)
+        assert sum(sizes) == 2**21
 
     def test_matches_the_flat_scan_on_random_families(self):
         # normal frames, near copies of one base, and copies of it scaled by
@@ -413,7 +496,7 @@ class TestCellPath:
             else:
                 v = base * rng.choice([-1.0, 1.0, 1 + 1e-15, 2.0], size=(m, n, 1))
             fam = FrameFamily([Frame(x) for x in v])
-            assert exhaustive_woven_check(fam) == flat_scan(fam)
+            assert exhaustive_woven_check(fam) == full_flat_scan(fam)
 
     def test_degenerate_families_take_the_cell_path(self, monkeypatch):
         rng = np.random.default_rng(71)
@@ -433,7 +516,7 @@ class TestCellPath:
             sizes = scanned_operators(monkeypatch)
             reports.append(exhaustive_woven_check(fam))
             assert sum(sizes) < fam.m**fam.size
-            assert reports[-1] == flat_scan(fam)
+            assert reports[-1] == full_flat_scan(fam)
         # identical frames: every weaving has bit-for-bit the same operator
         assert reports[1].witness_partition.assignment == (0,) * 7
 
@@ -451,12 +534,6 @@ class TestCellPath:
         )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert (out.returncode, out.stdout) == (0, "False\n"), out.stderr
-
-    def test_d3_takes_the_flat_path(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(weaving, "_cell_candidates", lambda *args: calls.append(args))
-        exhaustive_woven_check(counterexample_family())
-        assert calls == []
 
 
 def flat_families(rng, m, n, d):
@@ -483,19 +560,26 @@ def refuse(*args):
     raise AssertionError("the scan plan must not call this")
 
 
-def leaf_tested(monkeypatch):
-    """Record how many completions of each chunk reach the leaf test."""
-    reached = []
-    expand = weaving._expand
+def levels_tested(monkeypatch):
+    """Record, for each number r of free indices, the (nodes, passes) of
+    every call of the tests; r = 0 holds the completions that reach the
+    leaf test."""
+    levels, tails = collections.defaultdict(list), []
+    subtree_tails, positive_definite = weaving._subtree_tails, weaving._positive_definite
 
-    def recording_expand(outer, s, ids, start, stop):
-        s, ids = expand(outer, s, ids, start, stop)
-        if start < stop == outer.shape[1]:
-            reached.append(len(s))
-        return s, ids
+    def recording_tails(*args):
+        tails[:] = subtree_tails(*args)
+        return list(tails)
 
-    monkeypatch.setattr(weaving, "_expand", recording_expand)
-    return reached
+    def recording_positive_definite(s, tests):
+        ok = positive_definite(s, tests)
+        r = next(r for r, level in enumerate(tails) if level is tests)
+        levels[r].append((len(s), int(ok.sum())))
+        return ok
+
+    monkeypatch.setattr(weaving, "_subtree_tails", recording_tails)
+    monkeypatch.setattr(weaving, "_positive_definite", recording_positive_definite)
+    return levels
 
 
 class TestFlatScanCuts:
@@ -513,9 +597,8 @@ class TestFlatScanCuts:
 
     def test_subnormal_operators_are_all_solved(self, monkeypatch):
         # a largest trace below the smallest normal float leaves no room for
-        # the slack, so the scan takes no cells or cuts and solves every
-        # operator, without a warning
-        monkeypatch.setattr(weaving, "_cell_candidates", refuse)
+        # the slack, so the scan takes no cuts and solves every operator,
+        # without a warning
         monkeypatch.setattr(weaving, "_descent_cuts", refuse)
         monkeypatch.setattr(weaving, "_positive_definite", refuse)
         scans = scanned_operators(monkeypatch)
@@ -523,15 +606,22 @@ class TestFlatScanCuts:
         for scale, d in itertools.product((1e-155, 1e-160, 1e-162), (2, 3)):
             fam = FrameFamily([Frame(scale * rng.normal(size=(8, d))) for _ in range(2)])
             assert fam.trace < np.finfo(float).tiny
+            scans.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert exhaustive_woven_check(fam) == full_flat_scan(fam)
-        assert scans == [2**8] * 3 * 2
+            # squares that underflow alike leave bit-identical terms, whose
+            # twins are not expanded; every other weaving is solved
+            outer = weaving._rank_one_table(fam)
+            distinct = [len({term.tobytes() for term in outer[:, j]}) for j in range(8)]
+            assert scans == [math.prod(distinct)]
+            assert (math.prod(distinct) == 2**8) == (scale > 1e-162)
 
     @pytest.mark.parametrize("m, n, d, chunks", [(2, 7, 9, 2), (3, 4, 8, 3), (2, 8, 12, 4)])
     def test_n_below_d_takes_no_cuts(self, monkeypatch, m, n, d, chunks):
         # every operator is singular, so the scan solves them all, uncut, in
-        # several chunks of at most 64
+        # several blocks of at most 16, a quarter of 64: all m^n of a family
+        # without twins, one of identical frames
         monkeypatch.setattr(weaving, "_MAX_CHUNK", 64)
         monkeypatch.setattr(weaving, "_descent_cuts", refuse)
         monkeypatch.setattr(weaving, "_positive_definite", refuse)
@@ -541,8 +631,13 @@ class TestFlatScanCuts:
             fam = FrameFamily([Frame(x) for x in v])
             expected = full_flat_scan(fam)
             for t in (1, 2):
+                scans.clear()
                 assert exhaustive_woven_check(fam, threads=t) == expected, (kind, t)
-        assert len(scans) == 7 * 2 * chunks
+                assert max(scans) <= 16
+                if kind == "normal":
+                    assert sum(scans) == m**n and len(scans) >= m**n // 16 >= chunks
+                elif kind == "identical":
+                    assert scans == [1]
 
     def test_rules_out_most_operators(self, monkeypatch):
         rng = np.random.default_rng(97)
@@ -634,60 +729,64 @@ class TestSubtreeEnvelopes:
             base = rng.normal(size=(n, d))
             fam = FrameFamily([Frame(base + eps * rng.normal(size=(n, d))) for _ in range(m)])
             outer = weaving._rank_one_table(fam)
-            levels = weaving._subtree_tails(fam.stack, n - 1, weaving._descent_cuts(fam, outer))
-            assert list(levels) == [4, 2, 0]
-            for r in (4, 2):
+            tails = weaving._subtree_tails(fam.stack, weaving._descent_cuts(fam, outer))
+            assert len(tails) == n + 1
+            for r in (5, 4, 2, 1):
                 prefixes = rng.integers(0, m, size=(60, n - r))
                 nodes = weaving._row_operators(outer, prefixes)
-                node_passes = [weaving._positive_definite(nodes, *test) for test in levels[r]]
+                node_passes = [weaving._positive_definite(nodes, [test]) for test in tails[r]]
                 for k, prefix in enumerate(prefixes):
                     rows = np.array([tuple(prefix) + s for s in itertools.product(range(m), repeat=r)])
                     leaves = weaving._row_operators(outer, rows)
                     for side in (0, 1):
                         if node_passes[side][k]:
                             passed += 1
-                            assert weaving._positive_definite(leaves, *levels[0][side]).all()
+                            assert weaving._positive_definite(leaves, [tails[0][side]]).all()
         assert passed > 200
 
     @pytest.mark.parametrize("m, n, d, chunks", [(2, 10, 3, 16), (3, 6, 4, 27)])
     @pytest.mark.parametrize("k", [-40, 0, 40])
     def test_matches_a_full_eigensolve_at_every_scale(self, monkeypatch, m, n, d, chunks, k):
-        # 64 operators per chunk: (2, 10, 3) tests the levels r = 4 and 2,
-        # (3, 6, 4) only r = 2
+        # 64 operators per chunk, so blocks of at most 16 nodes
         monkeypatch.setattr(weaving, "_MAX_CHUNK", 64)
-        reached = leaf_tested(monkeypatch)
+        levels = levels_tested(monkeypatch)
         rng = np.random.default_rng(167 + 10 * n + d)
         for kind, v in flat_families(rng, m, n, d).items():
             fam = FrameFamily([Frame(np.ldexp(x, k)) for x in v])
             expected = full_flat_scan(fam)
             for t in (1, 2):
                 assert exhaustive_woven_check(fam, threads=t) == expected, (kind, t)
-        # subtrees were ruled out on the way, and so were whole chunks, none
-        # of whose completions then reach the leaf test
+        # subtrees were ruled out on the way, so few completions reach the
+        # leaf test, in fewer blocks than the flat scan had chunks
+        reached = [nodes for nodes, _ in levels[0]]
         assert sum(reached) < 7 * 2 * m**n
-        assert sum(map(bool, reached)) < 7 * 2 * chunks
+        assert len(reached) < 7 * 2 * chunks
+        assert all(nodes <= 16 for calls in levels.values() for nodes, _ in calls)
 
     @pytest.mark.parametrize("flip_signs", [False, True])
     def test_rules_out_most_subtrees(self, monkeypatch, flip_signs):
         # fewer than a quarter of the four families' 2^16 completions each
-        # reach the leaf test (the family of seed 2 alone leaves 27 %)
-        reached = leaf_tested(monkeypatch)
+        # reach the leaf test
+        levels = levels_tested(monkeypatch)
         for seed in (1, 2, 3, 173):
             fam = pruned_family(np.random.default_rng(seed), flip_signs)
             assert exhaustive_woven_check(fam) == full_flat_scan(fam)
-        assert sum(reached) < 4 * 2**16 // 4
+        assert sum(nodes for nodes, _ in levels[0]) < 4 * 2**16 // 4
 
     def test_a_level_that_rules_out_nothing_does_not_end_the_walk(self, monkeypatch):
-        # an eps 0.3 (4, 8, 4) family on which no node passes the lower test
-        # at r = 4: the nodes at r = 2 are still tested, so fewer than all
-        # 4^8 completions reach the leaf test
+        # an eps 0.3 (4, 8, 4) family on which no node passes the tests at
+        # r = 4: the nodes below are still tested, and some pass, so fewer
+        # than all 4^8 completions reach the leaf test
         rng = np.random.default_rng(7)
         base = rng.standard_normal((8, 4))
         frames = [base] + [base + 0.3 * rng.standard_normal((8, 4)) for _ in range(3)]
         fam = FrameFamily([Frame(v) for v in frames])
-        reached = leaf_tested(monkeypatch)
+        levels = levels_tested(monkeypatch)
         assert exhaustive_woven_check(fam) == full_flat_scan(fam)
-        assert len(reached) == 4 and sum(reached) < 4**8
+        passes = {r: sum(passed for _, passed in calls) for r, calls in levels.items()}
+        assert sorted(passes) == list(range(9))
+        assert passes[4] == 0 and passes[3] + passes[2] + passes[1] > 0
+        assert sum(nodes for nodes, _ in levels[0]) < 4**8
 
 
 class TestPositiveDefinite:
@@ -696,7 +795,7 @@ class TestPositiveDefinite:
 
     @staticmethod
     def passes(s, scale, shift):
-        return weaving._positive_definite(s, scale, shift * np.eye(s.shape[1]))
+        return weaving._positive_definite(s, [(scale, shift * np.eye(s.shape[1]))])
 
     @staticmethod
     def spectrum(s, scale, shift):
@@ -759,7 +858,7 @@ class TestPositiveDefinite:
         upper = shift * np.eye(5)
         upper[np.triu_indices(5, 1)] = np.nan
         np.testing.assert_array_equal(
-            weaving._positive_definite(s, 1.0, upper), self.passes(s, 1.0, shift)
+            weaving._positive_definite(s, [(1.0, upper)]), self.passes(s, 1.0, shift)
         )
 
     def test_matrix_shift_agrees_with_eigvalsh(self):
@@ -772,10 +871,28 @@ class TestPositiveDefinite:
             for scale in (0.5, -1.0):
                 shift = e @ e.T * (0.2 if scale > 0 else -5.0)
                 low = np.linalg.eigvalsh(scale * s - shift)[:, 0]
-                ok = weaving._positive_definite(s, scale, shift)
+                ok = weaving._positive_definite(s, [(scale, shift)])
                 tol = 1e-12 * np.max(np.abs(s))
                 assert np.all(low[ok] > -tol)
                 assert np.all(ok[low > tol])
+
+    def test_two_tests_pass_where_both_pass(self):
+        # the lower and upper tests of the scan, run together: all three
+        # outcomes occur, and the joint test stops early once nothing passes
+        rng = np.random.default_rng(113)
+        for d in range(1, 9):
+            x = rng.normal(size=(400, d, d + 1))
+            s = x @ x.transpose(0, 2, 1)
+            w = np.linalg.eigvalsh(s)
+            eye = np.eye(d)
+            upper = (-1.0, -np.quantile(w[:, -1], 0.7) * eye)
+            for low in (np.quantile(w[:, 0], 0.3), w[:, 0].max() + 1.0):
+                tests = [(1.0, low * eye), upper]
+                both = weaving._positive_definite(s, tests)
+                alone = [weaving._positive_definite(s, [t]) for t in tests]
+                np.testing.assert_array_equal(both, alone[0] & alone[1])
+                assert 0 < alone[1].sum() < len(s)
+                assert (0 < both.sum() < len(s)) == (low < w[:, 0].max())
 
 
 @st.composite
@@ -802,7 +919,7 @@ def degenerate_families(draw):
 def test_cell_path_matches_the_flat_scan_and_brute_force(case):
     fam, identical = case
     rep = exhaustive_woven_check(fam)
-    assert rep == flat_scan(fam)
+    assert rep == full_flat_scan(fam)
     lo, hi, _ = brute_force_woven([fr.vectors for fr in fam.frames])
     assert rep.universal_lower == pytest.approx(max(lo, 0.0), abs=1e-10)
     assert rep.universal_upper == pytest.approx(hi, abs=1e-10)
@@ -1044,16 +1161,16 @@ def assert_replays(fam, rep):
 
 
 def recorded_walks(monkeypatch):
-    """Record the prefix of every flat scan chunk."""
-    prefixes = []
+    """Record the level j of every walk: the root's, then each slice's."""
+    levels = []
     walk = weaving._walk
 
-    def recording_walk(outer, prefix, *args):
-        prefixes.append(prefix)
-        return walk(outer, prefix, *args)
+    def recording_walk(plan, s, ids, j, *args):
+        levels.append(j)
+        return walk(plan, s, ids, j, *args)
 
     monkeypatch.setattr(weaving, "_walk", recording_walk)
-    return prefixes
+    return levels
 
 
 class TestReplay:
@@ -1061,25 +1178,30 @@ class TestReplay:
     solves each weaving operator as the scans build and solve theirs."""
 
     def test_cell_path(self, monkeypatch):
+        # d = 2: every family takes one walk from the root, unsplit
         walks = recorded_walks(monkeypatch)
         rng = np.random.default_rng(191)
         for m, n in ((2, 12), (3, 7)):
-            for i, fam in enumerate(replay_families(rng, m, n, 2)):
+            for fam in replay_families(rng, m, n, 2):
                 walks.clear()
                 assert_replays(fam, exhaustive_woven_check(fam))
-                # the near-copy families take the cell path
-                assert i >= 6 or not walks
+                assert walks == [0]
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_flat_path_in_chunks(self, monkeypatch, threads):
+        # blocks of at most 16 nodes: the near copies and the normal
+        # families split into slices, identical frames walk one path
         monkeypatch.setattr(weaving, "_MAX_CHUNK", 64)
         walks = recorded_walks(monkeypatch)
         rng = np.random.default_rng(193)
-        for m, n, d, chunks in ((2, 12, 3, 64), (3, 6, 4, 27)):
+        for m, n, d in ((2, 12, 3), (3, 6, 4)):
+            splits = []
             for fam in replay_families(rng, m, n, d):
                 walks.clear()
                 assert_replays(fam, exhaustive_woven_check(fam, threads=threads))
-                assert len(walks) == chunks
+                assert walks[0] == 0
+                splits.append(len(walks) > 1)
+            assert all(splits[:6]) and not all(splits)
 
     def test_sampled(self):
         rng = np.random.default_rng(197)
