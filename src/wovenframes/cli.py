@@ -28,7 +28,7 @@ from . import certify as ct
 from . import io as fio
 from .errors import InvalidArgumentError, InvalidParamsError, ToolError
 from .frames import Bounds, frame_bounds
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, check_tol
 from .weaving import (
     DEFAULT_CAP,
     FrameFamily,
@@ -112,8 +112,7 @@ def _parse_csv_floats(text: str, name: str) -> list[float]:
 @click.pass_context
 def main(ctx, tol, cap, seed, samples, threads):
     """Finite frame toolkit: weaving bounds, wovenness checks, duals, certificates."""
-    if not 0.0 <= tol < float("inf"):
-        raise InvalidArgumentError(f"tol must be finite and >= 0, got {tol}")
+    check_tol(tol)
     for name, value, least in (
         ("threads", threads, 1), ("samples", samples, 1), ("seed", seed, 0), ("cap", cap, 1)
     ):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NotAFrameError, ShapeMismatchError
-from .linalg import DEFAULT_TOL, zero_threshold
+from .linalg import DEFAULT_TOL, check_tol, zero_threshold
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,6 +106,7 @@ def canonical_dual(frame: Frame) -> Frame:
 
 def is_dual_pair(f: Frame, g: Frame, tol: float = DEFAULT_TOL):
     """True iff T_F T_G^T = I within tol.  Returns (verdict, witness matrix)."""
+    check_tol(tol)
     if (f.dim, f.size) != (g.dim, g.size):
         raise ShapeMismatchError(
             f"frames of shape ({f.dim}, {f.size}) and ({g.dim}, {g.size}) cannot be dual"

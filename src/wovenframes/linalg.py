@@ -34,6 +34,12 @@ def zero_threshold(scale: float) -> float:
     return ZERO_RTOL * abs(scale)
 
 
+def check_tol(tol: float) -> None:
+    """Reject a tolerance that is not finite or is below 0."""
+    if not 0.0 <= tol < np.inf:
+        raise InvalidArgumentError(f"tol must be finite and >= 0, got {tol}")
+
+
 def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.size == 0:

@@ -8,8 +8,9 @@ walks the tree of assignment prefixes from its root, in the family's own
 index order, carrying each partial sum on to its successors one index at a
 time, so the completions come out in lexicographic order; the sampled scan
 sums its drawn rows column by column.  Either way each operator is summed
-left to right over j, and the witness is the smallest assignment among the
-minimizers.  At every level of the walk a batched positive-definiteness
+left to right over j, stacks hold at most ``_block`` operators, and the
+witness is the smallest assignment among the minimizers, in any order of
+the stacks.  At every level of the walk a batched positive-definiteness
 test, whose shift holds the rank-one envelopes M_j <= f_ij f_ij^T <= N_j of
 a node's free indices, rules out the whole subtree below a node; only the
 completions left are solved.
@@ -38,12 +39,9 @@ from .frames import (
     inverse_frame_operator,
     synthesis,
 )
-from .linalg import DEFAULT_TOL, null_space_basis, operator_norm, zero_threshold
+from .linalg import DEFAULT_TOL, check_tol, null_space_basis, operator_norm, zero_threshold
 
 DEFAULT_CAP = 2**22
-# Bytes of the (K, d, d) float64 operator stack one scan chunk holds, per worker.
-CHUNK_BUDGET = 16 * 2**20
-_MAX_CHUNK = 16384
 # Slack of the exhaustive scan's test shifts, relative to the largest trace.
 _TIE_RTOL = 1e-9
 
@@ -165,30 +163,30 @@ def _rank_one_table(family: FrameFamily) -> np.ndarray:
     return np.einsum("ijd,ije->ijde", family.stack, family.stack)
 
 
-def _chunk_rows(family: FrameFamily) -> int:
-    """Operators per scan chunk, so that its (K, d, d) stack fits CHUNK_BUDGET."""
-    return min(_MAX_CHUNK, max(1, CHUNK_BUDGET // (family.dim**2 * 8)))
+def _block(d: int) -> int:
+    """Operators per stack in either scan: 4,096, or fewer where their
+    (K, d, d) float64 stack would outgrow 4 MiB."""
+    return max(1, min(4096, 2**19 // d**2))
 
 
 def _walk(plan, s: np.ndarray, ids: np.ndarray, j: int, fan=map):
-    """(lo, first tied id, hi) of ``_scan`` over every completion below the
-    nodes ``s`` that no test rules out, or (inf, None, -inf) when none is
-    left.  A node assigns indices 0..j-1: ``s`` is the (K, d, d) stack of
+    """(lo, smallest tied id, hi) of ``_scan`` over every completion below
+    the nodes ``s`` that no test rules out, or (inf, inf, -inf) when none
+    is left.  A node assigns indices 0..j-1: ``s`` is the (K, d, d) stack of
     the nodes' partial sums and ``ids`` their lexicographic positions.
 
     ``plan`` is (outer, frames, tails, rows): the (m, n, d, d) rank-one
     table; for each index, the frames it expands into; the tests of
-    ``_subtree_tails``, or None for none; and the most nodes a stack holds.
-    One loop runs the levels: at each, the nodes take the two
-    ``_positive_definite`` tests for their r = n - j free indices, and only
-    those failing one go on, the completions (j = n) to ``_scan`` and the
-    others to one more index.  When the children would not fit ``rows``,
+    ``_subtree_tails``, or None for none; and ``_block``, the most nodes a
+    stack holds.  One loop runs the levels: at each, the nodes take the
+    two ``_positive_definite`` tests for their r = n - j free indices, and
+    only those failing one go on, the completions (j = n) to ``_scan`` and
+    the others to one more index.  When the children would not fit ``rows``,
     the parents go on in contiguous slices whose children do, each walked
     depth first; ``fan`` maps them, a pool's map at the first level that
-    splits and map below it.  Children come in lexicographic order and each
-    sum grows left to right, so the completions are the operators
-    ``_row_operators`` builds, and the results fold in slice order to the
-    first tied completion.
+    splits and map below it.  Children come in lexicographic order, so ids
+    ascend in a stack, and each sum grows left to right, so the completions
+    are the operators ``_row_operators`` builds.
     """
     outer, frames, tails, rows = plan
     n = outer.shape[1]
@@ -198,7 +196,7 @@ def _walk(plan, s: np.ndarray, ids: np.ndarray, j: int, fan=map):
             if not undecided.all():
                 s, ids = s[undecided], ids[undecided]
         if not len(s):
-            return np.inf, None, -np.inf
+            return np.inf, np.inf, -np.inf
         if j == n:
             lo, tied, hi = _scan(s)
             return lo, ids[tied[0]], hi
@@ -244,9 +242,7 @@ def _scan(s: np.ndarray):
 def _scan_rows(outer: np.ndarray, digits: np.ndarray):
     """``_scan`` of a (K, n) array of assignment rows, with the smallest tied row."""
     lo, tied, hi = _scan(_row_operators(outer, digits))
-    tied = digits[tied]
-    # np.lexsort sorts on its last key first, so column 0 goes last
-    return lo, tuple(tied[np.lexsort(tied.T[::-1])[0]].tolist()), hi
+    return lo, min(map(tuple, digits[tied].tolist())), hi
 
 
 def _positive_definite(s: np.ndarray, tests) -> np.ndarray:
@@ -375,13 +371,11 @@ def _subtree_tails(stack: np.ndarray, cuts) -> list:
 
 
 def _fold(results):
-    """(lo, row, hi) results folded in order; the first minimum wins."""
-    best_lo, best_row, best_hi = np.inf, None, -np.inf
-    for lo, row, hi in results:
-        if lo < best_lo:
-            best_lo, best_row = lo, row
-        best_hi = max(best_hi, hi)
-    return best_lo, best_row, best_hi
+    """The smallest (lo, key) and the largest hi of (lo, key, hi) results,
+    in any order.  A key, a lexicographic id in the walk and a row in the
+    sampled scan, orders as its assignment, so the key is the witness."""
+    results = list(results)
+    return (*min(r[:2] for r in results), max(r[2] for r in results))
 
 
 def _report(family, lo, row, hi, examined, mode, seed=None) -> WeavingReport:
@@ -409,11 +403,10 @@ def exhaustive_woven_check(
     identical and +-duplicate frames never build m^n nodes.  No completion
     that is extreme, or tied with one, is ever ruled out, so the report is
     that of solving all m^n: ``cap`` bounds m^n and ``partitions_examined``
-    is m^n.  A stack holds at most a quarter of ``_chunk_rows`` nodes,
-    since each level that splits keeps its stack while its slices run.
-    The slices of the first level that splits run on a pool of ``threads``
-    workers, and the min/max reduction runs in slice order, so any thread
-    count gives the same report.
+    is m^n.  A stack holds at most ``_block`` nodes.  The slices of the
+    first level that splits run on a pool of ``threads`` workers, and
+    ``_fold`` does not depend on their order, so any thread count gives the
+    same report.
     """
     if threads < 1:
         raise InvalidArgumentError("threads must be >= 1")
@@ -437,14 +430,11 @@ def exhaustive_woven_check(
     root = np.full((1, d, d), -0.0)
     # lexicographic positions reach m^n - 1, beyond an int64 from 2^63 on
     ids = np.zeros(1, dtype=np.int64 if total < 2**63 else object)
-    plan = outer, frames, tails, max(1, _chunk_rows(family) // 4)
+    plan = outer, frames, tails, _block(d)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         lo, ident, hi = _walk(plan, root, ids, 0, pool.map)
-    row = []
-    for _ in range(n):
-        ident, digit = divmod(int(ident), m)
-        row.append(digit)
-    return _report(family, lo, tuple(row[::-1]), hi, total, "exhaustive")
+    row = tuple(int(ident) // m ** (n - 1 - j) % m for j in range(n))
+    return _report(family, lo, row, hi, total, "exhaustive")
 
 
 def sampled_woven_estimate(family: FrameFamily, samples: int, seed: int) -> WeavingReport:
@@ -452,21 +442,21 @@ def sampled_woven_estimate(family: FrameFamily, samples: int, seed: int) -> Weav
 
     The result is an estimate: the reported lower bound can only overestimate
     the true universal lower bound, since sampling may miss bad partitions.
-    Rows are drawn in chunks; a tie on the minimum goes to the smallest row
-    of the first chunk that attains it.
+    Rows are drawn and solved in blocks of ``_block``; the draws do not
+    depend on the block size, and a tie on the minimum goes to the smallest
+    row drawn.
     """
     if samples < 1:
         raise InvalidArgumentError("samples must be >= 1")
+    if seed < 0:
+        raise InvalidArgumentError("seed must be >= 0")
     m, n = family.m, family.size
     outer = _rank_one_table(family)
     rng = np.random.Generator(np.random.PCG64(seed))
-    rows = _chunk_rows(family)
-
-    def run(drawn):
-        digits = rng.integers(0, m, size=(min(rows, samples - drawn), n), dtype=np.int64)
-        return _scan_rows(outer, digits)
-
-    return _report(family, *_fold(map(run, range(0, samples, rows))), samples, "sampled", seed)
+    block = _block(family.dim)
+    rows = (rng.integers(0, m, size=(min(block, samples - a), n), dtype=np.int64)
+            for a in range(0, samples, block))
+    return _report(family, *_fold(_scan_rows(outer, r) for r in rows), samples, "sampled", seed)
 
 
 def weaving_canonical_dual(family: FrameFamily, p: Partition) -> Frame:
@@ -486,6 +476,7 @@ def weaving_alternate_dual(
     orthonormal kernel basis of T_W (r = kernel dimension), or a raw d x n
     matrix U whose rows are then verified to lie in the kernel.
     """
+    check_tol(tol)
     w = weave(family, p)
     s_inv, bounds = inverse_frame_operator(w, "weaving is not a frame, duals undefined")
     t_w = synthesis(w)
@@ -527,6 +518,7 @@ def is_tight_weaving(family: FrameFamily, p: Partition, tol: float = DEFAULT_TOL
     A is the least-squares scalar fit trace(S_W)/d.  The residual is tested
     relative to A, so scaling every vector leaves the verdict unchanged.
     """
+    check_tol(tol)
     s_w = weaving_operator(family, p)
     a = float(np.trace(s_w)) / family.dim
     if a > 0.0 and operator_norm(s_w - a * np.eye(family.dim)) <= tol * a:

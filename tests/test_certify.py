@@ -30,6 +30,7 @@ from wovenframes import (
     verify_operator_characterization,
 )
 from wovenframes.errors import (
+    InvalidArgumentError,
     InvalidParamsError,
     NoLeftInverseError,
     NotAFrameError,
@@ -154,6 +155,15 @@ class TestCommutingDualPair:
         assert cert.hypothesis_satisfied
         assert cert.guaranteed_lower == pytest.approx(0.5, abs=1e-12)
         assert cert.guaranteed_upper == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_tol_must_be_finite_and_nonnegative(self, tol):
+        # an infinite tol used to certify two random frames as a dual pair
+        rng = np.random.default_rng(243)
+        f, g = (Frame(rng.normal(size=(4, 2))) for _ in range(2))
+        assert not certify_commuting_dual_pair(f, g).hypothesis_satisfied
+        with pytest.raises(InvalidArgumentError, match="tol must be finite"):
+            certify_commuting_dual_pair(f, g, tol=tol)
 
     def test_canonical_dual_fails_symmetry(self):
         f, _ = example_pair()

@@ -504,7 +504,7 @@ class TestScaleInvariance:
         mb = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         base = rng.normal(size=(8, 3))
         return {
-            # d = 2 takes the cell path, d = 3 the flat scan in 4 chunks of 64
+            # d = 2 and d = 3, walked and sampled in blocks of 16
             "cells": random_woven_family(rng, 2, 8, 2)[0],
             "flat": random_woven_family(rng, 2, 8, 3)[0],
             # every weaving is tight, and every positivity difference is 0
@@ -540,7 +540,7 @@ class TestScaleInvariance:
 
     @pytest.mark.parametrize("k", [-40, -20, 20])
     def test_reports_scale_exactly(self, runner, tmp_path, monkeypatch, k):
-        monkeypatch.setattr(weaving, "_MAX_CHUNK", 64)
+        monkeypatch.setattr(weaving, "_block", lambda d: 16)
         factor = 4.0**k
         for name, family in self.families().items():
             scaled = FrameFamily([Frame(np.ldexp(fr.vectors, k), fr.label) for fr in family.frames])

@@ -203,6 +203,15 @@ class TestIsDualPair:
         with pytest.raises(ShapeMismatchError):
             is_dual_pair(Frame(np.eye(2)), Frame(np.eye(3)))
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_tol_must_be_finite_and_nonnegative(self, tol):
+        # an infinite tol used to call any two frames of one shape dual
+        rng = np.random.default_rng(241)
+        f, g = (Frame(rng.normal(size=(4, 2))) for _ in range(2))
+        assert not is_dual_pair(f, g)[0]
+        with pytest.raises(InvalidArgumentError, match="tol must be finite"):
+            is_dual_pair(f, g, tol)
+
 
 class TestAnalyze:
     def test_norm_between_bounds(self):

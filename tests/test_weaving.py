@@ -289,7 +289,7 @@ class TestExhaustiveCheck:
             for rep, size in zip(reports[1:], sizes[1:]):
                 assert rep == reports[0]
                 assert size == sizes[0]
-            assert max(sizes[0]) <= weaving._chunk_rows(fam)
+            assert max(sizes[0]) <= weaving._block(fam.dim)
 
     def test_a_near_copy_walks_in_blocks(self, monkeypatch):
         # 1e-12 copies: no node is ruled out, so the walk builds all 2^18
@@ -310,14 +310,14 @@ class TestExhaustiveCheck:
             solved.clear()
             reports.append(exhaustive_woven_check(fam, threads=t))
             assert sum(solved) == 2**18 and len(solved) >= 2
-        assert max(tested + solved) <= weaving._chunk_rows(fam)
+        assert max(tested + solved) <= weaving._block(fam.dim)
         monkeypatch.undo()
         assert reports[0] == reports[1] == full_flat_scan(fam)
 
     def test_chunks_fit_the_gather_budget(self, monkeypatch):
-        # d^2 * 8 B = 12,800 B per operator: 1,310 operators per chunk, so
-        # 2,000 samples split into 2 chunks, and n < d leaves the walk all
-        # 4,096 words to solve, in blocks of at most a quarter of that
+        # d^2 * 8 B = 12,800 B per operator: 2^19 // d^2 = 327 operators fit
+        # the 4 MiB of a block, so 2,000 samples are solved in 7 blocks, and
+        # n < d leaves the walk all 4,096 words to solve, in blocks of 327
         rng = np.random.default_rng(47)
         fam = FrameFamily([Frame(rng.normal(size=(12, 40))) for _ in range(2)])
         stacks = []
@@ -330,12 +330,13 @@ class TestExhaustiveCheck:
         monkeypatch.setattr(weaving, "_scan", recording_scan)
         reports = [exhaustive_woven_check(fam, threads=t) for t in (1, 2)]
         assert sum(stacks) == 2 * 4096 * 40 * 40 * 8
-        assert max(stacks) <= 1310 // 4 * 40 * 40 * 8
+        assert max(stacks) <= 327 * 40 * 40 * 8 <= 4 * 2**20
+        assert weaving._block(fam.dim) == 327
         stacks.clear()
         sampled_woven_estimate(fam, samples=2000, seed=1)
         assert reports[1] == reports[0]
-        assert len(stacks) == 2
-        assert max(stacks) <= weaving.CHUNK_BUDGET
+        assert len(stacks) == 7
+        assert max(stacks) <= 327 * 40 * 40 * 8
         lo, hi, _ = brute_force_woven([fr.vectors for fr in fam.frames])
         assert not reports[0].woven
         assert reports[0].universal_lower == pytest.approx(lo, abs=1e-10)
@@ -376,7 +377,7 @@ class TestExhaustiveCheck:
             for t in (1, 2):
                 rep = exhaustive_woven_check(fam, threads=t)
                 assert rep.witness_partition.assignment == (0,) * fam.size
-            monkeypatch.setattr(weaving, "_MAX_CHUNK", 64)
+            monkeypatch.setattr(weaving, "_block", lambda d: 16)
         assert rep.universal_lower == 0.0
 
     def test_twins_are_not_expanded(self, monkeypatch):
@@ -401,7 +402,7 @@ class TestExhaustiveCheck:
     def test_more_frames_than_a_block(self, monkeypatch):
         # blocks of at most 16 nodes and 20 frames: each node's children
         # come in two slices of frames
-        monkeypatch.setattr(weaving, "_MAX_CHUNK", 64)
+        monkeypatch.setattr(weaving, "_block", lambda d: 16)
         levels = levels_tested(monkeypatch)
         rng = np.random.default_rng(233)
         for d in (1, 2):
@@ -585,9 +586,9 @@ def levels_tested(monkeypatch):
 class TestFlatScanCuts:
     @pytest.mark.parametrize("m, n, d", [(2, 10, 3), (2, 9, 6), (3, 6, 4), (2, 7, 9), (3, 4, 8)])
     def test_matches_a_full_eigensolve(self, monkeypatch, m, n, d):
-        # 64 operators per chunk, so every family splits into several chunks;
+        # blocks of 16 operators, so every family splits into several blocks;
         # (2, 7, 9) and (3, 4, 8) have n < d, so no weaving is a frame
-        monkeypatch.setattr(weaving, "_MAX_CHUNK", 64)
+        monkeypatch.setattr(weaving, "_block", lambda d: 16)
         rng = np.random.default_rng(89 + 10 * n + d)
         for kind, v in flat_families(rng, m, n, d).items():
             fam = FrameFamily([Frame(x) for x in v])
@@ -620,9 +621,9 @@ class TestFlatScanCuts:
     @pytest.mark.parametrize("m, n, d, chunks", [(2, 7, 9, 2), (3, 4, 8, 3), (2, 8, 12, 4)])
     def test_n_below_d_takes_no_cuts(self, monkeypatch, m, n, d, chunks):
         # every operator is singular, so the scan solves them all, uncut, in
-        # several blocks of at most 16, a quarter of 64: all m^n of a family
+        # several blocks of at most 16: all m^n of a family
         # without twins, one of identical frames
-        monkeypatch.setattr(weaving, "_MAX_CHUNK", 64)
+        monkeypatch.setattr(weaving, "_block", lambda d: 16)
         monkeypatch.setattr(weaving, "_descent_cuts", refuse)
         monkeypatch.setattr(weaving, "_positive_definite", refuse)
         scans = scanned_operators(monkeypatch)
@@ -747,8 +748,8 @@ class TestSubtreeEnvelopes:
     @pytest.mark.parametrize("m, n, d, chunks", [(2, 10, 3, 16), (3, 6, 4, 27)])
     @pytest.mark.parametrize("k", [-40, 0, 40])
     def test_matches_a_full_eigensolve_at_every_scale(self, monkeypatch, m, n, d, chunks, k):
-        # 64 operators per chunk, so blocks of at most 16 nodes
-        monkeypatch.setattr(weaving, "_MAX_CHUNK", 64)
+        # blocks of at most 16 nodes
+        monkeypatch.setattr(weaving, "_block", lambda d: 16)
         levels = levels_tested(monkeypatch)
         rng = np.random.default_rng(167 + 10 * n + d)
         for kind, v in flat_families(rng, m, n, d).items():
@@ -939,6 +940,8 @@ class TestSampledEstimate:
             exhaustive_woven_check(fam, threads=0)
         with pytest.raises(InvalidArgumentError):
             sampled_woven_estimate(fam, samples=0, seed=1)
+        with pytest.raises(InvalidArgumentError):
+            sampled_woven_estimate(fam, 5, -1)
 
     def test_counterexample_found(self):
         rep = sampled_woven_estimate(counterexample_family(), samples=200, seed=1)
@@ -982,6 +985,20 @@ class TestSampledEstimate:
         drawn = np.random.Generator(np.random.PCG64(11)).integers(0, 3, size=(30, 10), dtype=np.int64)
         assert rep.witness_partition.assignment == min(map(tuple, drawn.tolist()))
         assert rep.witness_partition.assignment != tuple(drawn[0].tolist())
+
+    def test_exact_ties_across_blocks_pick_the_smallest_drawn_row(self, monkeypatch):
+        # identical frames at d = 3: every drawn row ties, and the 20,000
+        # rows come in blocks of 4,096.  The smallest of them is row 19,163,
+        # in the last block, which a rule keeping the first block that
+        # attains the minimum, or the first 16,384 rows, would miss
+        fr = Frame(np.random.default_rng(139).normal(size=(24, 3)))
+        solved = scanned_operators(monkeypatch)
+        rep = sampled_woven_estimate(FrameFamily([fr] * 2), samples=20000, seed=4)
+        drawn = np.random.Generator(np.random.PCG64(4)).integers(0, 2, size=(20000, 24), dtype=np.int64)
+        rows = list(map(tuple, drawn.tolist()))
+        assert rows.index(min(rows)) == 19163
+        assert rep.witness_partition.assignment == min(rows)
+        assert solved == [4096] * 4 + [3616]
 
     @pytest.mark.parametrize("m, n", [(2, 70), (3, 45)])
     def test_witness_attains_bound_when_words_overflow_int64(self, m, n):
@@ -1091,6 +1108,21 @@ class TestWeavingDuals:
         canon = weaving_canonical_dual(fam, p)
         np.testing.assert_allclose(alt.vectors.T - canon.vectors.T, raw, atol=1e-12)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-10])
+    def test_tol_must_be_finite_and_nonnegative(self, tol):
+        # U's rows lie outside ker(T_W): a NaN tol used to pass both of the
+        # alternate dual's tests and return a non-dual
+        rng = np.random.default_rng(239)
+        fam = FrameFamily([Frame(rng.normal(size=(5, 2))) for _ in range(2)])
+        p, u = Partition((0, 1, 0, 1, 0), 2), rng.normal(size=(2, 5))
+        with pytest.raises(ConstraintViolatedError):
+            weaving_alternate_dual(fam, p, u)
+        with pytest.raises(InvalidArgumentError, match="tol must be finite"):
+            weaving_alternate_dual(fam, p, u, tol=tol)
+        with pytest.raises(InvalidArgumentError, match="tol must be finite"):
+            is_tight_weaving(fam, p, tol=tol)
+        assert is_tight_weaving(fam, p, tol=0.0) is None
+
     def test_raw_matrix_outside_kernel_rejected(self):
         fam = example_family()
         p = Partition((0, 0, 1), 2)
@@ -1191,7 +1223,7 @@ class TestReplay:
     def test_flat_path_in_chunks(self, monkeypatch, threads):
         # blocks of at most 16 nodes: the near copies and the normal
         # families split into slices, identical frames walk one path
-        monkeypatch.setattr(weaving, "_MAX_CHUNK", 64)
+        monkeypatch.setattr(weaving, "_block", lambda d: 16)
         walks = recorded_walks(monkeypatch)
         rng = np.random.default_rng(193)
         for m, n, d in ((2, 12, 3), (3, 6, 4)):
