@@ -28,6 +28,7 @@ from .errors import (
 from .frames import (
     Bounds,
     Frame,
+    _bessel_sum,
     frame_bounds,
     frame_operator,
     inverse_frame_operator,
@@ -287,7 +288,7 @@ def certify_positivity(family: FrameFamily, k: int) -> Certificate:
     if negative:
         return Certificate("positivity", False, margins)
     a_k = bounds[k].lower
-    upper = float(sum(b.upper for b in bounds))
+    upper = _bessel_sum(bounds)
     if a_k <= 0.0:
         return Certificate(
             "positivity", True, margins, None, upper,
@@ -355,7 +356,7 @@ def certify_lm_perturbation(
     if not a_k > needed:
         return Certificate("lm-perturb", False, margins)
     lower = (1.0 - lam_sum) * a_k - mu_sum
-    upper = float(sum(b.upper for b in bounds))
+    upper = _bessel_sum(bounds)
     return Certificate("lm-perturb", True, margins, float(lower), upper)
 
 

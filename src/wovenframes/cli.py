@@ -27,13 +27,12 @@ import click
 from . import certify as ct
 from . import io as fio
 from .errors import InvalidArgumentError, InvalidParamsError, ToolError
-from .frames import Bounds, frame_bounds
+from .frames import Bounds, _bessel_sum, frame_bounds
 from .linalg import DEFAULT_TOL, check_tol
 from .weaving import (
     DEFAULT_CAP,
     FrameFamily,
     Partition,
-    bessel_upper_bound,
     exhaustive_woven_check,
     is_tight_weaving,
     sampled_woven_estimate,
@@ -141,7 +140,7 @@ def frames_info(opts, file):
             {"label": fr.label, "bounds": b, "is_frame": b.lower > 0.0}
             for fr, b in zip(family.frames, bounds)
         ],
-        "bessel_upper_bound": bessel_upper_bound(family),
+        "bessel_upper_bound": _bessel_sum(bounds),
     }
     _emit("frames info", {"file": str(file)}, result, positive=True)
 

@@ -88,6 +88,11 @@ def frame_bounds(frame: Frame) -> Bounds:
     return _bounds(np.linalg.eigvalsh(frame_operator(frame)))
 
 
+def _bessel_sum(bounds) -> float:
+    """sum_i B_i of the frames' ``bounds``, summed in frame order."""
+    return float(sum(b.upper for b in bounds))
+
+
 def inverse_frame_operator(frame: Frame, not_a_frame: str) -> tuple[np.ndarray, Bounds]:
     """S^{-1} and the optimal bounds A, B (so ||S|| = B, ||S^{-1}|| = 1/A), the
     bounds from one eigvalsh of S.  Raises NotAFrameError(not_a_frame) when A = 0."""

@@ -29,14 +29,21 @@ from .weaving import FrameFamily, Partition
 
 
 def _load_json(path) -> dict:
+    """The top-level object of a JSON file.  Undecodable text, nesting too
+    deep for the parser and integers past Python's int-string limit are
+    parse errors too, like any other malformed file."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply") from exc
+    except ValueError as exc:  # the int-string limit; decode errors are caught above
+        raise ParseError(f"{path}: integer entry with too many digits") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
     return doc

@@ -13,7 +13,8 @@ witness is the smallest assignment among the minimizers, in any order of
 the stacks.  At every level of the walk a batched positive-definiteness
 test, whose shift holds the rank-one envelopes M_j <= f_ij f_ij^T <= N_j of
 a node's free indices, rules out the whole subtree below a node; only the
-completions left are solved.
+completions left are solved.  The shifts of every level are built once per
+scan, as one array table.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .errors import (
 from .frames import (
     Bounds,
     Frame,
+    _bessel_sum,
     canonical_dual,
     frame_bounds,
     frame_operator,
@@ -156,7 +158,7 @@ def weaving_bounds(family: FrameFamily, p: Partition) -> Bounds:
 
 def bessel_upper_bound(family: FrameFamily) -> float:
     """sum_i B_i: an upper bound valid for every weaving of the family."""
-    return float(sum(frame_bounds(fr).upper for fr in family.frames))
+    return _bessel_sum(frame_bounds(fr) for fr in family.frames)
 
 
 def _rank_one_table(family: FrameFamily) -> np.ndarray:
@@ -175,9 +177,9 @@ def _walk(plan, s: np.ndarray, ids: np.ndarray, j: int, fan=map):
     is left.  A node assigns indices 0..j-1: ``s`` is the (K, d, d) stack of
     the nodes' partial sums and ``ids`` their lexicographic positions.
 
-    ``plan`` is (outer, frames, tails, rows): the (m, n, d, d) rank-one
-    table; for each index, the frames it expands into; the tests of
-    ``_subtree_tails``, or None for none; and ``_block``, the most nodes a
+    ``plan`` is (outer, frames, tests, rows): the (m, n, d, d) rank-one
+    table; for each index, the frames it expands into; the (scales, shifts)
+    of ``_level_tests``, or None for none; and ``_block``, the most nodes a
     stack holds.  One loop runs the levels: at each, the nodes take the
     two ``_positive_definite`` tests for their r = n - j free indices, and
     only those failing one go on, the completions (j = n) to ``_scan`` and
@@ -188,11 +190,11 @@ def _walk(plan, s: np.ndarray, ids: np.ndarray, j: int, fan=map):
     ascend in a stack, and each sum grows left to right, so the completions
     are the operators ``_row_operators`` builds.
     """
-    outer, frames, tails, rows = plan
+    outer, frames, tests, rows = plan
     n = outer.shape[1]
     while True:
-        if tails is not None:
-            undecided = ~_positive_definite(s, tails[n - j])
+        if tests is not None:
+            undecided = ~_positive_definite(s, tests[0], tests[1][n - j])
             if not undecided.all():
                 s, ids = s[undecided], ids[undecided]
         if not len(s):
@@ -245,16 +247,17 @@ def _scan_rows(outer: np.ndarray, digits: np.ndarray):
     return lo, min(map(tuple, digits[tied].tolist())), hi
 
 
-def _positive_definite(s: np.ndarray, tests) -> np.ndarray:
+def _positive_definite(s: np.ndarray, scales: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Whether unpivoted elimination keeps every pivot of A = scale S - shift
-    positive for every (scale, shift) of ``tests``, the shift a symmetric
-    (d, d) matrix, for each S of a (K, d, d) stack, on (d, d, len(tests), K)
-    copies of the lower triangles; it stops once no S passes.  A diagonal
+    positive for every scale of the (T,) array ``scales`` and the symmetric
+    (d, d) shift of the (T, d, d) array ``shifts`` beside it, for each S of a
+    (K, d, d) stack, on (d, d, T, K) copies of the lower triangles, each row
+    filled for all T tests at once; it stops once no S passes.  A diagonal
     entry only loses a_ik^2 / pivot >= 0, so rounding, overflow and NaN can
     only fail.  A pass gives Cholesky factors, so A + E > 0 for some
     ||E|| <= 2d(d + 1) eps ||A|| (Higham, ch. 10); eigvalsh errs by about
     d eps ||A||.  A node with r free indices takes the tests of
-    ``_subtree_tails``, A = c (S + L_r) - c t_lo I and c t_hi I - c (S + U_r),
+    ``_level_tests``, A = c (S + L_r) - c t_lo I and c t_hi I - c (S + U_r),
     L_r (U_r) the sum of the lower (upper) envelopes of ``_envelopes`` over
     those r indices, where c puts cT, T the largest weaving trace, in
     [1/2, 1) and the slack in t_lo and t_hi is 1e-9 cT >= 5e-10.  The
@@ -272,12 +275,11 @@ def _positive_definite(s: np.ndarray, tests) -> np.ndarray:
     no extreme weaving, nor any weaving tied with one, is ever ruled out.
     """
     k, d, _ = s.shape
-    a, ok = np.empty((d, d, len(tests), k)), np.ones(k, dtype=bool)
+    a, ok = np.empty((d, d, len(scales), k)), np.ones(k, dtype=bool)
     with np.errstate(all="ignore"):
         for i in range(d):
-            for t, (scale, shift) in enumerate(tests):
-                np.multiply(s[:, i, : i + 1].T, scale, out=a[i, : i + 1, t])
-                a[i, : i + 1, t] -= shift[i, : i + 1, None]
+            np.multiply(s[:, i, None, : i + 1].T, scales[:, None], out=a[i, : i + 1])
+            a[i, : i + 1] -= shifts[:, i, : i + 1].T[:, :, None]
         for j in range(d):
             ok &= np.all(a[j, j] > 0, axis=0)
             if not ok.any():
@@ -286,29 +288,6 @@ def _positive_definite(s: np.ndarray, tests) -> np.ndarray:
             for i in range(j + 1, d):
                 a[i, j + 1 : i + 1] -= l[i - j - 1] * a[j + 1 : i + 1, j]
     return ok
-
-
-def _descent_cuts(family: FrameFamily, outer: np.ndarray):
-    """(scale, shift) of the tests c S - c t_lo I and c t_hi I - c S, for
-    ``_subtree_tails``, where c = 2^-e puts the largest weaving trace T, a
-    normal float, in [1/2, 1).  From each constant weaving, descent moves W to the pointwise
-    argmin of <f_ij, x>^2 at the eigenvector x of lambda_min(S_W), which
-    cannot raise lambda_min, until the rows stop improving; ascent does so
-    for lambda_max.  Solving the 2m rows as the scan does gives t_lo =
-    min lambda_min + slack, t_hi = max lambda_max - slack, slack = _TIE_RTOL T.
-    """
-    lower = (np.arange(2 * family.m) < family.m)[:, None]
-    rows, total = np.tile(np.arange(family.m)[:, None], (2, family.size)), np.inf
-    while True:
-        w, x = np.linalg.eigh(_row_operators(outer, rows))
-        if not (value := np.where(lower[:, 0], w[:, 0], -w[:, -1]).sum()) < total:
-            break
-        total = value
-        sq = np.einsum("ijd,kd->kji", family.stack, np.where(lower, x[:, :, 0], x[:, :, -1])) ** 2
-        rows = np.where(lower, sq.argmin(axis=2), sq.argmax(axis=2))
-    w = np.linalg.eigvalsh(_row_operators(outer, rows))
-    slack, scale = _TIE_RTOL * family.trace, np.ldexp(1.0, -int(np.frexp(family.trace)[1]))
-    return (scale, (w[:, 0].min() + slack) * scale), (-scale, (slack - w[:, -1].max()) * scale)
 
 
 def _envelopes(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -354,20 +333,39 @@ def _envelopes(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
-def _subtree_tails(stack: np.ndarray, cuts) -> list:
-    """``_walk``'s two tests for the nodes with r free indices, r = 0..n.
-    Each (scale, shift) of ``cuts`` becomes (scale, shift I - scale E), E
-    the sum of the lower (upper) envelopes of ``_envelopes`` over the last
-    r indices for the lower (upper) test, summed from the last index back.
-    A node P passing both tests has every completion W within
-    S_P + L_r <= S_W <= S_P + U_r, so none is extreme or tied with one."""
-    _, n, d = stack.shape
-    (c_lo, t_lo), (c_hi, t_hi) = cuts
-    sums = np.zeros((2, n + 1, d, d))
-    sums[:, 1:] = np.cumsum(np.stack(_envelopes(stack))[:, ::-1], axis=1)
-    eye = np.eye(d)
-    lower, upper = t_lo * eye - c_lo * sums[0], t_hi * eye - c_hi * sums[1]
-    return [((c_lo, a), (c_hi, b)) for a, b in zip(lower, upper)]
+def _level_tests(family: FrameFamily, outer: np.ndarray):
+    """``_walk``'s two tests for the nodes with r free indices, r = 0..n:
+    ``scales`` = [c, -c] and the (n + 1, 2, d, d) array ``shifts``, whose
+    row r holds the shifts of c (S + L_r) - c t_lo I and c t_hi I - c (S + U_r).
+
+    c = 2^-e puts the largest weaving trace T, a normal float, in [1/2, 1).
+    From each constant weaving, descent moves W to the pointwise argmin of
+    <f_ij, x>^2 at the eigenvector x of lambda_min(S_W), which cannot raise
+    lambda_min, until the rows stop improving; ascent does so for
+    lambda_max.  Solving the 2m rows as the scan does gives t_lo =
+    min lambda_min + slack, t_hi = max lambda_max - slack, slack = _TIE_RTOL T.
+
+    L_r (U_r) is the sum of the lower (upper) envelopes of ``_envelopes``
+    over the last r indices, summed from the last index back.  A node P
+    passing both tests has every completion W within S_P + L_r <= S_W <=
+    S_P + U_r, so none is extreme or tied with one.
+    """
+    lower = (np.arange(2 * family.m) < family.m)[:, None]
+    rows, total = np.tile(np.arange(family.m)[:, None], (2, family.size)), np.inf
+    while True:
+        w, x = np.linalg.eigh(_row_operators(outer, rows))
+        if not (value := np.where(lower[:, 0], w[:, 0], -w[:, -1]).sum()) < total:
+            break
+        total = value
+        sq = np.einsum("ijd,kd->kji", family.stack, np.where(lower, x[:, :, 0], x[:, :, -1])) ** 2
+        rows = np.where(lower, sq.argmin(axis=2), sq.argmax(axis=2))
+    w = np.linalg.eigvalsh(_row_operators(outer, rows))
+    slack, scale = _TIE_RTOL * family.trace, np.ldexp(1.0, -int(np.frexp(family.trace)[1]))
+    scales = np.array([scale, -scale])
+    cuts = np.array([(w[:, 0].min() + slack) * scale, (slack - w[:, -1].max()) * scale])
+    sums = np.zeros((family.size + 1, 2, family.dim, family.dim))
+    sums[1:] = np.cumsum(np.stack(_envelopes(family.stack), axis=1)[::-1], axis=0)
+    return scales, cuts[:, None, None] * np.eye(family.dim) - scales[:, None, None] * sums
 
 
 def _fold(results):
@@ -421,16 +419,16 @@ def exhaustive_woven_check(
     terms = outer.reshape(m, n, -1).view(np.int64)
     twin = [np.all(terms[:i] == terms[i], axis=2).any(axis=0) for i in range(m)]
     frames = [np.flatnonzero(~column) for column in np.array(twin).T]
-    tails = None
+    tests = None
     d = family.dim
     if family.trace >= np.finfo(float).tiny and n >= d and (d * (d + 1) + n) * (m + 2) < 10**6:
-        tails = _subtree_tails(family.stack, _descent_cuts(family, outer))
+        tests = _level_tests(family, outer)
     # the root is the empty assignment; -0.0 is the identity of IEEE
     # addition, so its children's sums are the terms themselves
     root = np.full((1, d, d), -0.0)
     # lexicographic positions reach m^n - 1, beyond an int64 from 2^63 on
     ids = np.zeros(1, dtype=np.int64 if total < 2**63 else object)
-    plan = outer, frames, tails, _block(d)
+    plan = outer, frames, tests, _block(d)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         lo, ident, hi = _walk(plan, root, ids, 0, pool.map)
     row = tuple(int(ident) // m ** (n - 1 - j) % m for j in range(n))

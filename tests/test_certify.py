@@ -83,6 +83,28 @@ class TestDualCanonicals:
         with pytest.raises(NotAFrameError, match=r"^second frame does not span \(lower bound 0\)$"):
             certify_dual_canonicals(f, Frame([[1.0, 0], [2, 0], [3, 0]]), Bounds(1.0, 3.0))
 
+    def test_rejects_a_universal_lower_bound_of_zero(self):
+        f, g = example_pair()
+        with pytest.raises(NotAFrameError, match="universal lower bound must be positive"):
+            certify_dual_canonicals(f, g, Bounds(0.0, 3.0))
+
+    def test_vacuous_lower_bound(self):
+        # S_F = diag(1, 100) and S_G = diag(1.09, 100): ||S_F^-1|| ||S_F - S_G||
+        # = 0.09 < A/B = 1, but sqrt(A)/||S_F|| = 0.01 is below
+        # sqrt(B) ||S_G^-1 - S_F^-1|| = 0.09/1.09, so no lower bound follows
+        f = Frame([[1.0, 0.0], [0.0, 10.0], [0.0, 0.0]])
+        g = Frame([[1.0, 0.0], [0.0, 10.0], [0.3, 0.0]])
+        cert = certify_dual_canonicals(f, g, Bounds(1.0, 1.0))
+        assert cert.hypothesis_satisfied
+        assert cert.guaranteed_lower is None
+        assert cert.notes == (
+            "hypothesis holds but the derived lower bound is vacuous "
+            "(sqrt(A)/||S|| - sqrt(B)||S_G^-1 - S_F^-1|| <= 0)"
+        )
+        assert cert.margins["lower_root"] == pytest.approx(0.01 - 0.09 / 1.09, rel=1e-12)
+        # B (||S_F^-1||^2 + ||S_G^-1||^2)
+        assert cert.guaranteed_upper == pytest.approx(1.0 + 1.0 / 1.09**2, rel=1e-12)
+
     def test_margins_match_lapack(self):
         rng = np.random.default_rng(61)
         for _ in range(40):
@@ -406,6 +428,11 @@ class TestLmPerturbationMinMu:
         for lam in (0.1, 0.5, 0.9):
             assert lm_perturbation_min_mu(f, f, lam) == 0.0
 
+    def test_shape_mismatch(self):
+        f, _ = example_pair()
+        with pytest.raises(ShapeMismatchError, match="frames must share"):
+            lm_perturbation_min_mu(f, Frame(np.eye(2)), 0.5)
+
     def test_proportional_shift_frames(self):
         u = clamped_shift_frame(8, (0, 1, 2))
         f = Frame((4 / 3) * u.vectors)
@@ -485,6 +512,12 @@ class TestLmPerturbation:
         with pytest.raises(InvalidParamsError):
             certify_lm_perturbation(fam, 0, [PerturbParams(0.01, 0.0)])
 
+    def test_reference_must_span(self):
+        f, _ = example_pair()
+        line = Frame([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        with pytest.raises(NotAFrameError, match=r"^frame 0 does not span \(lower bound 0\)$"):
+            certify_lm_perturbation(FrameFamily([line, f]), 0, [PerturbParams(0.5, 1.0)])
+
     def test_param_validation(self):
         with pytest.raises(InvalidParamsError):
             PerturbParams(1.5, 0.0)
@@ -542,6 +575,11 @@ class TestInvertibleStability:
             certify_invertible_stability(
                 FrameFamily([f, g]), uni, [np.diag([1.0, 0.0]), np.eye(2)]
             )
+
+    def test_one_operator_per_frame(self):
+        f, g, uni = example_universal()
+        with pytest.raises(ShapeMismatchError, match="need 2 operators, got 1"):
+            certify_invertible_stability(FrameFamily([f, g]), uni, [np.eye(2)])
 
 
 class TestSynthesisPerturbation:

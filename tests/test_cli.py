@@ -283,6 +283,24 @@ class TestFramesInfo:
         assert first["is_frame"] is True
         assert first["bounds"]["lower"] == pytest.approx(1.0)
 
+    def test_solves_each_frame_once(self, runner, tmp_path, monkeypatch):
+        family = random_woven_family(np.random.default_rng(5), 3, 6, 2)[0]
+        path = write_family(tmp_path / "three.json", family)
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording_eigvalsh(s):
+            solved.append(s.shape)
+            return eigvalsh(s)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+        res = runner.invoke(main, ["frames", "info", path])
+        monkeypatch.undo()
+        assert res.exit_code == 0
+        assert solved == [(2, 2)] * 3
+        # the sum of the bounds it reports, in frame order, as the library sums them
+        assert json.loads(res.output)["result"]["bessel_upper_bound"] == weaving.bessel_upper_bound(family)
+
 
 class TestWeaveBounds:
     def test_partition_word(self, runner, pair_file):
@@ -581,10 +599,19 @@ class TestErrorContract:
             "huge_ops": {"operators": [[[1e200, 0], [0, 1]], np.eye(2).tolist()]},
             "rank_one_ops": {"operators": [[[1, 2], [3, 6]], np.eye(2).tolist()]},
         }
+        raw = {
+            # deeper than the parser recurses
+            "nested": b"[" * 200_000,
+            # past the int-string limit of 4,300 digits
+            "long_int": b'{"dim": 1, "frames": [{"vectors": [[1' + b"0" * 5000 + b"]]}]}",
+            # a UTF-16 byte-order mark, not UTF-8 text
+            "not_utf8": b"\xff\xfe",
+        }
+        raw.update((name, json.dumps(doc).encode()) for name, doc in docs.items())
         paths = {"pair": pair_file, "absent": str(tmp_path / "absent.json")}
-        for name, doc in docs.items():
+        for name, data in raw.items():
             paths[name] = str(tmp_path / f"{name}.json")
-            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+            (tmp_path / f"{name}.json").write_bytes(data)
         return paths
 
     @pytest.mark.parametrize(
@@ -609,6 +636,19 @@ class TestErrorContract:
             (["certify", "invertible", "{pair}", "--ops", "{rank_one_ops}", "--universal", "1,3"], "singular-operator"),
             # booleans and numeric strings are not numbers
             (["frames", "info", "{lenient}"], "parse-error"),
+            # files the JSON parser cannot read
+            (["weave", "check", "{nested}"], "parse-error"),
+            (["weave", "check", "{long_int}"], "parse-error"),
+            (["weave", "check", "{not_utf8}"], "parse-error"),
+            # option values that do not parse
+            (["weave", "bounds", "{pair}", "--partition", "0,x,1"], "invalid-params"),
+            (["certify", "lm-perturb", "{pair}", "--lambda", "half", "--mu", "0"], "invalid-params"),
+            # certifier options missing or of unequal lengths
+            (["certify", "op-characterization", "{pair}"], "invalid-params"),
+            (["certify", "lm-perturb", "{pair}", "--lambda", "0.5"], "invalid-params"),
+            (["certify", "lm-perturb", "{pair}", "--lambda", "0.5,0.5", "--mu", "0"], "invalid-params"),
+            (["certify", "invertible", "{pair}"], "invalid-params"),
+            (["certify", "synthesis-perturb", "{pair}"], "invalid-params"),
             # non-finite numeric options
             (["certify", "invertible", "{pair}", "--ops", "{ops}", "--universal", "1,inf"], "invalid-argument"),
             (["certify", "lm-perturb", "{pair}", "--lambda", "0.5", "--mu", "inf"], "invalid-params"),

@@ -69,6 +69,12 @@ class TestPartition:
         with pytest.raises(IndexOutOfRangeError):
             Partition((0, 2), 2)
 
+    def test_needs_a_frame_and_an_index(self):
+        with pytest.raises(InvalidArgumentError, match="num_frames must be >= 1"):
+            Partition((0,), 0)
+        with pytest.raises(InvalidArgumentError, match="empty assignment"):
+            Partition((), 2)
+
 
 class TestFrameFamily:
     def test_stores_its_stack_and_largest_trace(self):
@@ -87,6 +93,13 @@ class TestFrameFamily:
         assert fam != FrameFamily([f, g])
         assert FrameFamily([Frame(np.eye(2))]) != FrameFamily([Frame(np.eye(2))])
         assert len({fam, fam}) == 1
+
+    def test_needs_frames_of_one_shape(self):
+        with pytest.raises(InvalidArgumentError, match="at least one frame"):
+            FrameFamily([])
+        for other in (Frame(np.eye(3)), Frame(np.ones((3, 2)))):
+            with pytest.raises(ShapeMismatchError, match=r"must share shape \(2, 2\)"):
+                FrameFamily([Frame(np.eye(2)), other])
 
     def test_rejects_a_weaving_trace_that_overflows_when_squared(self):
         g = Frame([[1.0, 0.0], [1.0, 1.0], [1.0, -1.0]])
@@ -300,9 +313,9 @@ class TestExhaustiveCheck:
         tested, solved = [], scanned_operators(monkeypatch)
         positive_definite = weaving._positive_definite
 
-        def recording_positive_definite(s, tests):
+        def recording_positive_definite(s, scales, shifts):
             tested.append(len(s))
-            return positive_definite(s, tests)
+            return positive_definite(s, scales, shifts)
 
         monkeypatch.setattr(weaving, "_positive_definite", recording_positive_definite)
         reports = []
@@ -477,7 +490,7 @@ class TestCellPath:
         assert 0 < sum(sizes) < 1000
         assert rep.partitions_examined == 2**21
         # with no test passing, the walk solves all 2^21 operators
-        monkeypatch.setattr(weaving, "_positive_definite", lambda s, tests: np.zeros(len(s), dtype=bool))
+        monkeypatch.setattr(weaving, "_positive_definite", lambda s, *tests: np.zeros(len(s), dtype=bool))
         sizes.clear()
         assert rep == exhaustive_woven_check(fam)
         assert sum(sizes) == 2**21
@@ -565,20 +578,22 @@ def levels_tested(monkeypatch):
     """Record, for each number r of free indices, the (nodes, passes) of
     every call of the tests; r = 0 holds the completions that reach the
     leaf test."""
-    levels, tails = collections.defaultdict(list), []
-    subtree_tails, positive_definite = weaving._subtree_tails, weaving._positive_definite
+    levels, built = collections.defaultdict(list), []
+    level_tests, positive_definite = weaving._level_tests, weaving._positive_definite
 
-    def recording_tails(*args):
-        tails[:] = subtree_tails(*args)
-        return list(tails)
+    def recording_level_tests(*args):
+        built[:] = level_tests(*args)
+        return tuple(built)
 
-    def recording_positive_definite(s, tests):
-        ok = positive_definite(s, tests)
-        r = next(r for r, level in enumerate(tails) if level is tests)
+    def recording_positive_definite(s, scales, shifts):
+        ok = positive_definite(s, scales, shifts)
+        # a level's shifts are the row of the built table they start at
+        assert scales is built[0] and shifts.base is built[1]
+        r = (shifts.ctypes.data - built[1].ctypes.data) // built[1].strides[0]
         levels[r].append((len(s), int(ok.sum())))
         return ok
 
-    monkeypatch.setattr(weaving, "_subtree_tails", recording_tails)
+    monkeypatch.setattr(weaving, "_level_tests", recording_level_tests)
     monkeypatch.setattr(weaving, "_positive_definite", recording_positive_definite)
     return levels
 
@@ -600,7 +615,7 @@ class TestFlatScanCuts:
         # a largest trace below the smallest normal float leaves no room for
         # the slack, so the scan takes no cuts and solves every operator,
         # without a warning
-        monkeypatch.setattr(weaving, "_descent_cuts", refuse)
+        monkeypatch.setattr(weaving, "_level_tests", refuse)
         monkeypatch.setattr(weaving, "_positive_definite", refuse)
         scans = scanned_operators(monkeypatch)
         rng = np.random.default_rng(109)
@@ -624,7 +639,7 @@ class TestFlatScanCuts:
         # several blocks of at most 16: all m^n of a family
         # without twins, one of identical frames
         monkeypatch.setattr(weaving, "_block", lambda d: 16)
-        monkeypatch.setattr(weaving, "_descent_cuts", refuse)
+        monkeypatch.setattr(weaving, "_level_tests", refuse)
         monkeypatch.setattr(weaving, "_positive_definite", refuse)
         scans = scanned_operators(monkeypatch)
         rng = np.random.default_rng(131 + 10 * n + d)
@@ -730,20 +745,40 @@ class TestSubtreeEnvelopes:
             base = rng.normal(size=(n, d))
             fam = FrameFamily([Frame(base + eps * rng.normal(size=(n, d))) for _ in range(m)])
             outer = weaving._rank_one_table(fam)
-            tails = weaving._subtree_tails(fam.stack, weaving._descent_cuts(fam, outer))
-            assert len(tails) == n + 1
+            scales, shifts = weaving._level_tests(fam, outer)
+            assert scales.shape == (2,) and shifts.shape == (n + 1, 2, d, d)
             for r in (5, 4, 2, 1):
                 prefixes = rng.integers(0, m, size=(60, n - r))
                 nodes = weaving._row_operators(outer, prefixes)
-                node_passes = [weaving._positive_definite(nodes, [test]) for test in tails[r]]
+                node_passes = [
+                    weaving._positive_definite(nodes, scales[[side]], shifts[r, [side]]) for side in (0, 1)
+                ]
                 for k, prefix in enumerate(prefixes):
                     rows = np.array([tuple(prefix) + s for s in itertools.product(range(m), repeat=r)])
                     leaves = weaving._row_operators(outer, rows)
                     for side in (0, 1):
                         if node_passes[side][k]:
                             passed += 1
-                            assert weaving._positive_definite(leaves, [tails[0][side]]).all()
+                            assert weaving._positive_definite(leaves, scales[[side]], shifts[0, [side]]).all()
         assert passed > 200
+
+    @pytest.mark.parametrize("m, n, d", [(2, 10, 4), (3, 7, 3)])
+    def test_level_tests_sum_the_envelopes_from_the_last_index_back(self, m, n, d):
+        # the table against a loop over its rows: row r shifts the cut of
+        # each test by its scale times the envelopes of the last r indices
+        rng = np.random.default_rng(179 + m)
+        fam = FrameFamily([Frame(rng.normal(size=(n, d))) for _ in range(m)])
+        scales, shifts = weaving._level_tests(fam, weaving._rank_one_table(fam))
+        c = scales[0]
+        assert scales[1] == -c and np.frexp(c)[0] == 0.5 and 0.5 <= c * fam.trace < 1.0
+        assert shifts.shape == (n + 1, 2, d, d)
+        envelopes = weaving._envelopes(fam.stack)
+        for side in (0, 1):
+            cut, total = shifts[0, side, 0, 0], np.zeros((d, d))
+            np.testing.assert_array_equal(shifts[0, side], cut * np.eye(d))
+            for r in range(1, n + 1):
+                total = total + envelopes[side][n - r]
+                np.testing.assert_array_equal(shifts[r, side], cut * np.eye(d) - scales[side] * total)
 
     @pytest.mark.parametrize("m, n, d, chunks", [(2, 10, 3, 16), (3, 6, 4, 27)])
     @pytest.mark.parametrize("k", [-40, 0, 40])
@@ -795,8 +830,13 @@ class TestPositiveDefinite:
     the shift passed as the matrix shift * I."""
 
     @staticmethod
-    def passes(s, scale, shift):
-        return weaving._positive_definite(s, [(scale, shift * np.eye(s.shape[1]))])
+    def kernel(s, *tests):
+        """The kernel on the (scale, matrix shift) pairs ``tests``."""
+        scales, shifts = zip(*tests)
+        return weaving._positive_definite(s, np.array(scales), np.array(shifts))
+
+    def passes(self, s, scale, shift):
+        return self.kernel(s, (scale, shift * np.eye(s.shape[1])))
 
     @staticmethod
     def spectrum(s, scale, shift):
@@ -859,7 +899,7 @@ class TestPositiveDefinite:
         upper = shift * np.eye(5)
         upper[np.triu_indices(5, 1)] = np.nan
         np.testing.assert_array_equal(
-            weaving._positive_definite(s, [(1.0, upper)]), self.passes(s, 1.0, shift)
+            self.kernel(s, (1.0, upper)), self.passes(s, 1.0, shift)
         )
 
     def test_matrix_shift_agrees_with_eigvalsh(self):
@@ -872,7 +912,7 @@ class TestPositiveDefinite:
             for scale in (0.5, -1.0):
                 shift = e @ e.T * (0.2 if scale > 0 else -5.0)
                 low = np.linalg.eigvalsh(scale * s - shift)[:, 0]
-                ok = weaving._positive_definite(s, [(scale, shift)])
+                ok = self.kernel(s, (scale, shift))
                 tol = 1e-12 * np.max(np.abs(s))
                 assert np.all(low[ok] > -tol)
                 assert np.all(ok[low > tol])
@@ -889,8 +929,8 @@ class TestPositiveDefinite:
             upper = (-1.0, -np.quantile(w[:, -1], 0.7) * eye)
             for low in (np.quantile(w[:, 0], 0.3), w[:, 0].max() + 1.0):
                 tests = [(1.0, low * eye), upper]
-                both = weaving._positive_definite(s, tests)
-                alone = [weaving._positive_definite(s, [t]) for t in tests]
+                both = self.kernel(s, *tests)
+                alone = [self.kernel(s, t) for t in tests]
                 np.testing.assert_array_equal(both, alone[0] & alone[1])
                 assert 0 < alone[1].sum() < len(s)
                 assert (0 < both.sum() < len(s)) == (low < w[:, 0].max())
@@ -1122,6 +1162,16 @@ class TestWeavingDuals:
         with pytest.raises(InvalidArgumentError, match="tol must be finite"):
             is_tight_weaving(fam, p, tol=tol)
         assert is_tight_weaving(fam, p, tol=0.0) is None
+
+    def test_coefficient_shapes_rejected(self):
+        # the example weaving has d = 2 and n = 3, so a kernel of dimension 1
+        fam = example_family()
+        p = Partition((0, 0, 1), 2)
+        for coefficients in (np.zeros(2), np.zeros((3, 1)), np.zeros((1, 3))):
+            with pytest.raises(ShapeMismatchError, match="need 2 rows"):
+                weaving_alternate_dual(fam, p, coefficients)
+        with pytest.raises(ShapeMismatchError, match=r"must have 1 \(kernel\) or 3 \(raw\) columns, got 2"):
+            weaving_alternate_dual(fam, p, np.zeros((2, 2)))
 
     def test_raw_matrix_outside_kernel_rejected(self):
         fam = example_family()
