@@ -5,8 +5,9 @@ A Frame is an indexed finite family of vectors in R^d, stored row-wise
 vectors as columns, so the analysis operator is its transpose and the frame
 operator is T T^T.  Outside the wovenness scans, every frame or weaving
 operator is built by ``frame_operator`` and its spectrum read with LAPACK's
-eigvalsh, in the order and with the solver the scans use, so a weaving's
-bounds are bit for bit the ones a scan reports for it.
+eigvalsh, in the order and with the solver the scans use, and of the
+vectors scaled by ``linalg.unit_scaled``, as the scans scale theirs, so a
+weaving's bounds are bit for bit the ones a scan reports for it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NotAFrameError, ShapeMismatchError
-from .linalg import DEFAULT_TOL, check_tol, zero_threshold
+from .linalg import DEFAULT_TOL, check_tol, unit_scaled, zero_threshold
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,21 +72,27 @@ def frame_operator(frame: Frame) -> np.ndarray:
     """S = T T^T = sum_j f_j f_j^T, exactly symmetric.  The rank-one terms are
     einsum products, as in the scans' table, summed left to right over j, the
     order of every scan's operators (a pairwise ``sum`` would round otherwise)."""
-    v = frame.vectors
+    return _operator(frame.vectors)
+
+
+def _operator(v: np.ndarray) -> np.ndarray:
     return np.cumsum(np.einsum("jd,je->jde", v, v), axis=0)[-1]
 
 
-def _bounds(w: np.ndarray) -> Bounds:
-    """Optimal bounds from the ascending spectrum of S.  A smallest eigenvalue at
-    or below ``zero_threshold`` of the largest is reported as 0 (Bessel but not
-    a frame)."""
+def _bounds(frame: Frame) -> tuple[Bounds, np.ndarray, int]:
+    """Optimal bounds, and the S / 4^e of ``unit_scaled`` vectors and e they come
+    from; a lambda_min <= ``zero_threshold`` of lambda_max is reported as 0."""
+    v, e = unit_scaled(frame.vectors)
+    s = _operator(v)
+    with np.errstate(over="ignore"):  # an infinite bound is for Bounds to reject
+        w = np.ldexp(np.linalg.eigvalsh(s), 2 * e)
     lam_max = max(float(w[-1]), 0.0)
-    return Bounds(0.0 if w[0] <= zero_threshold(lam_max) else float(w[0]), lam_max)
+    return Bounds(0.0 if w[0] <= zero_threshold(lam_max) else float(w[0]), lam_max), s, e
 
 
 def frame_bounds(frame: Frame) -> Bounds:
     """Optimal frame bounds: the extreme eigenvalues of the frame operator."""
-    return _bounds(np.linalg.eigvalsh(frame_operator(frame)))
+    return _bounds(frame)[0]
 
 
 def _bessel_sum(bounds) -> float:
@@ -94,13 +101,12 @@ def _bessel_sum(bounds) -> float:
 
 
 def inverse_frame_operator(frame: Frame, not_a_frame: str) -> tuple[np.ndarray, Bounds]:
-    """S^{-1} and the optimal bounds A, B (so ||S|| = B, ||S^{-1}|| = 1/A), the
-    bounds from one eigvalsh of S.  Raises NotAFrameError(not_a_frame) when A = 0."""
-    s = frame_operator(frame)
-    bounds = _bounds(np.linalg.eigvalsh(s))
+    """S^{-1} and the optimal bounds A, B (so ||S|| = B, ||S^{-1}|| = 1/A), both
+    from the one S / 4^e of ``_bounds``.  Raises NotAFrameError(not_a_frame) when A = 0."""
+    bounds, s, e = _bounds(frame)
     if bounds.lower <= 0.0:
         raise NotAFrameError(not_a_frame)
-    return np.linalg.inv(s), bounds
+    return np.ldexp(np.linalg.inv(s), -2 * e), bounds
 
 
 def canonical_dual(frame: Frame) -> Frame:

@@ -1,7 +1,7 @@
 """Dense real kernels for small matrices.
 
-Frame and weaving operators are built by ``frames.frame_operator`` and their
-spectra read with LAPACK's eigvalsh, as the wovenness scans read theirs.
+Frame and weaving spectra are read with LAPACK's eigvalsh of the operators
+``frames.frame_operator`` builds from ``unit_scaled`` vectors, as the scans do.
 ``sym_eig_bounds`` solves one symmetric matrix by cyclic Jacobi rotations
 (``jacobi_eigh_batch``); it serves the positivity certificate alone.
 ``singular_values``, ``operator_norm`` and ``null_space_basis`` take LAPACK's
@@ -38,6 +38,13 @@ def check_tol(tol: float) -> None:
     """Reject a tolerance that is not finite or is below 0."""
     if not 0.0 <= tol < np.inf:
         raise InvalidArgumentError(f"tol must be finite and >= 0, got {tol}")
+
+
+def unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """``a`` times 2^-e, and e, which puts its largest |entry| in [1/2, 1)
+    (e = 0 when ``a`` is 0): exact while no value leaves the normal floats."""
+    e = int(np.frexp(np.abs(a).max())[1])
+    return np.ldexp(a, -e), e
 
 
 def as_matrix(m) -> np.ndarray:

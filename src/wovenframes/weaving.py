@@ -9,12 +9,13 @@ index order, carrying each partial sum on to its successors one index at a
 time, so the completions come out in lexicographic order; the sampled scan
 sums its drawn rows column by column.  Either way each operator is summed
 left to right over j, stacks hold at most ``_block`` operators, and the
-witness is the smallest assignment among the minimizers, in any order of
-the stacks.  At every level of the walk a batched positive-definiteness
-test, whose shift holds the rank-one envelopes M_j <= f_ij f_ij^T <= N_j of
-a node's free indices, rules out the whole subtree below a node; only the
-completions left are solved.  The shifts of every level are built once per
-scan, as one array table.
+witness is the smallest assignment among the minimizers, in any order of the
+stacks.  Both scans solve the family's stack as ``linalg.unit_scaled``
+scales it, and ``_report`` scales their bounds back.  At every level of the
+walk a batched positive-definiteness test, whose shift holds the rank-one
+envelopes M_j <= f_ij f_ij^T <= N_j of a node's free indices, rules out the
+whole subtree below a node; only the completions left are solved.  The
+shifts of every level are built once per scan, as one array table.
 """
 
 from __future__ import annotations
@@ -41,24 +42,24 @@ from .frames import (
     inverse_frame_operator,
     synthesis,
 )
-from .linalg import DEFAULT_TOL, check_tol, null_space_basis, operator_norm, zero_threshold
+from .linalg import DEFAULT_TOL, check_tol, null_space_basis, operator_norm, unit_scaled, zero_threshold
 
 DEFAULT_CAP = 2**22
 # Slack of the exhaustive scan's test shifts, relative to the largest trace.
 _TIE_RTOL = 1e-9
+_SIGNS = np.array([1.0, -1.0])  # of S in the exhaustive scan's tests S + L - t_lo and t_hi - S - U
 
 
 @dataclass(frozen=True, eq=False)
 class FrameFamily:
-    """m frames sharing (dim, size), their (m, n, d) ``stack`` of vectors, and
-    the largest ``trace`` of a weaving operator, sum_j max_i |f_ij|^2, which
-    must stay finite when squared, since the eigensolvers square operator entries.
-    Families compare by identity, as frames do.
+    """m frames sharing (dim, size) and their (m, n, d) ``stack`` of vectors.
+    The largest trace of a weaving operator, sum_j max_i |f_ij|^2, must square
+    to a normal float unless every vector is 0, since the eigensolvers square
+    operator entries.  Families compare by identity, as frames do.
     """
 
     frames: tuple[Frame, ...]
     stack: np.ndarray = field(repr=False)
-    trace: float = field(repr=False)
 
     def __init__(self, frames):
         frames = tuple(frames)
@@ -73,13 +74,13 @@ class FrameFamily:
         stack = np.stack([fr.vectors for fr in frames])
         stack.setflags(write=False)
         trace, overflows = self.largest_trace(stack)
-        if overflows:
+        if overflows or trace * trace < np.finfo(float).tiny and stack.any():
             raise InvalidArgumentError(
-                f"frame vectors too large: the largest weaving trace {trace:.3e} overflows when squared"
+                f"frame vectors too {'large' if overflows else 'small'}: the largest weaving trace "
+                f"{trace:.3e} does not square to a normal float"
             )
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "trace", trace)
 
     @staticmethod
     def largest_trace(stack: np.ndarray) -> tuple[float, bool]:
@@ -161,8 +162,8 @@ def bessel_upper_bound(family: FrameFamily) -> float:
     return _bessel_sum(frame_bounds(fr) for fr in family.frames)
 
 
-def _rank_one_table(family: FrameFamily) -> np.ndarray:
-    return np.einsum("ijd,ije->ijde", family.stack, family.stack)
+def _rank_one_table(stack: np.ndarray) -> np.ndarray:
+    return np.einsum("ijd,ije->ijde", stack, stack)
 
 
 def _block(d: int) -> int:
@@ -177,9 +178,9 @@ def _walk(plan, s: np.ndarray, ids: np.ndarray, j: int, fan=map):
     is left.  A node assigns indices 0..j-1: ``s`` is the (K, d, d) stack of
     the nodes' partial sums and ``ids`` their lexicographic positions.
 
-    ``plan`` is (outer, frames, tests, rows): the (m, n, d, d) rank-one
-    table; for each index, the frames it expands into; the (scales, shifts)
-    of ``_level_tests``, or None for none; and ``_block``, the most nodes a
+    ``plan`` is (outer, frames, shifts, rows): the (m, n, d, d) rank-one
+    table; for each index, the frames it expands into; the shifts of
+    ``_level_tests``, or None for no tests; and ``_block``, the most nodes a
     stack holds.  One loop runs the levels: at each, the nodes take the
     two ``_positive_definite`` tests for their r = n - j free indices, and
     only those failing one go on, the completions (j = n) to ``_scan`` and
@@ -190,11 +191,11 @@ def _walk(plan, s: np.ndarray, ids: np.ndarray, j: int, fan=map):
     ascend in a stack, and each sum grows left to right, so the completions
     are the operators ``_row_operators`` builds.
     """
-    outer, frames, tests, rows = plan
+    outer, frames, shifts, rows = plan
     n = outer.shape[1]
     while True:
-        if tests is not None:
-            undecided = ~_positive_definite(s, tests[0], tests[1][n - j])
+        if shifts is not None:
+            undecided = ~_positive_definite(s, shifts[n - j])
             if not undecided.all():
                 s, ids = s[undecided], ids[undecided]
         if not len(s):
@@ -247,38 +248,38 @@ def _scan_rows(outer: np.ndarray, digits: np.ndarray):
     return lo, min(map(tuple, digits[tied].tolist())), hi
 
 
-def _positive_definite(s: np.ndarray, scales: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Whether unpivoted elimination keeps every pivot of A = scale S - shift
-    positive for every scale of the (T,) array ``scales`` and the symmetric
-    (d, d) shift of the (T, d, d) array ``shifts`` beside it, for each S of a
-    (K, d, d) stack, on (d, d, T, K) copies of the lower triangles, each row
-    filled for all T tests at once; it stops once no S passes.  A diagonal
-    entry only loses a_ik^2 / pivot >= 0, so rounding, overflow and NaN can
-    only fail.  A pass gives Cholesky factors, so A + E > 0 for some
-    ||E|| <= 2d(d + 1) eps ||A|| (Higham, ch. 10); eigvalsh errs by about
-    d eps ||A||.  A node with r free indices takes the tests of
-    ``_level_tests``, A = c (S + L_r) - c t_lo I and c t_hi I - c (S + U_r),
+def _positive_definite(s: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Whether unpivoted elimination keeps every pivot of A = sign S - shift
+    positive for both signs of ``_SIGNS`` and the symmetric (d, d) shift of
+    the (2, d, d) ``shifts`` beside each, for each S of a (K, d, d) stack,
+    on (d, d, 2, K) copies of the lower triangles; it stops once no S
+    passes.  A diagonal entry only loses a_ik^2 / pivot >= 0, so rounding,
+    overflow and NaN can only fail.  A pass gives Cholesky factors, so
+    A + E > 0 for some ||E|| <= 2d(d + 1) eps ||A|| (Higham, ch. 10);
+    eigvalsh errs by about d eps ||A||.  A node with r free indices takes
+    the tests of ``_level_tests``, A = S + L_r - t_lo I and t_hi I - S - U_r,
     L_r (U_r) the sum of the lower (upper) envelopes of ``_envelopes`` over
-    those r indices, where c puts cT, T the largest weaving trace, in
-    [1/2, 1) and the slack in t_lo and t_hi is 1e-9 cT >= 5e-10.  The
-    envelope at j has norm at most (|h_j| + sqrt(lambda_max K_j))^2 <=
-    (m + 1) max_i |f_ij|^2 by Cauchy-Schwarz, as lambda_max K_j <=
-    sum_i |f_ij - h_j|^2 = sum_i |f_ij|^2 - m |h_j|^2.  So, with
-    T = sum_j max_i |f_ij|^2, any r envelopes sum to norm at most (m + 1) T,
-    and ||A|| <= m + 2.  Both errors are then below 3e-16 d(d + 1)(m + 2).
-    Forming the envelopes, a node's j terms and a level's sum of r
-    envelopes, one rounding per entry as forming S + L_r would add, err by
-    about (m sqrt(d) + n (m + 1)) eps at most.  All of it stays under the
-    slack whenever (d(d + 1) + n)(m + 2) < 10^6, and the scan runs tests
-    only then.  So a pass puts the computed lambda_min (lambda_max) of
-    every operator the tested matrix bounds strictly beyond t_lo (t_hi):
-    no extreme weaving, nor any weaving tied with one, is ever ruled out.
+    those r indices, of a ``unit_scaled`` stack: its largest weaving trace
+    T = sum_j max_i |f_ij|^2 is at least 1/4, and t_lo and t_hi hold a slack
+    of 1e-9 T.  The envelope at j has norm at most (|h_j| + sqrt(lambda_max
+    K_j))^2 <= (m + 1) max_i |f_ij|^2 by Cauchy-Schwarz, as lambda_max K_j
+    <= sum_i |f_ij - h_j|^2 = sum_i |f_ij|^2 - m |h_j|^2, so ||A|| <=
+    (m + 2) T, and both errors are below 3e-16 d(d + 1)(m + 2) T.  Forming
+    the envelopes, a node's j terms and a level's sum of r envelopes, one
+    rounding per entry as forming S + L_r would add, err by about
+    (m sqrt(d) + n (m + 1)) eps T at most, and a value below the normal
+    floats by less than 2^-1074.  All of it stays under the slack whenever
+    (d(d + 1) + n)(m + 2) < 10^6, and the scan runs tests only then.  So a
+    pass puts the computed lambda_min (lambda_max) of every operator the
+    tested matrix bounds strictly beyond t_lo (t_hi): no extreme weaving,
+    nor any weaving tied with one, is ever ruled out.  An all-zero stack
+    has no slack, but its tested matrices are 0 and fail.
     """
     k, d, _ = s.shape
-    a, ok = np.empty((d, d, len(scales), k)), np.ones(k, dtype=bool)
+    a, ok = np.empty((d, d, 2, k)), np.ones(k, dtype=bool)
     with np.errstate(all="ignore"):
         for i in range(d):
-            np.multiply(s[:, i, None, : i + 1].T, scales[:, None], out=a[i, : i + 1])
+            np.multiply(s[:, i, None, : i + 1].T, _SIGNS[:, None], out=a[i, : i + 1])
             a[i, : i + 1] -= shifts[:, i, : i + 1].T[:, :, None]
         for j in range(d):
             ok &= np.all(a[j, j] > 0, axis=0)
@@ -333,39 +334,39 @@ def _envelopes(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
-def _level_tests(family: FrameFamily, outer: np.ndarray):
-    """``_walk``'s two tests for the nodes with r free indices, r = 0..n:
-    ``scales`` = [c, -c] and the (n + 1, 2, d, d) array ``shifts``, whose
-    row r holds the shifts of c (S + L_r) - c t_lo I and c t_hi I - c (S + U_r).
+def _level_tests(stack: np.ndarray, outer: np.ndarray) -> np.ndarray:
+    """``_walk``'s two tests for the nodes with r free indices, r = 0..n, of
+    a ``unit_scaled`` stack and its rank-one table: the (n + 1, 2, d, d)
+    shifts whose row r holds those of S + L_r - t_lo I and t_hi I - S - U_r.
 
-    c = 2^-e puts the largest weaving trace T, a normal float, in [1/2, 1).
     From each constant weaving, descent moves W to the pointwise argmin of
     <f_ij, x>^2 at the eigenvector x of lambda_min(S_W), which cannot raise
     lambda_min, until the rows stop improving; ascent does so for
     lambda_max.  Solving the 2m rows as the scan does gives t_lo =
-    min lambda_min + slack, t_hi = max lambda_max - slack, slack = _TIE_RTOL T.
+    min lambda_min + slack, t_hi = max lambda_max - slack, slack = _TIE_RTOL T,
+    T the stack's largest weaving trace.
 
     L_r (U_r) is the sum of the lower (upper) envelopes of ``_envelopes``
     over the last r indices, summed from the last index back.  A node P
     passing both tests has every completion W within S_P + L_r <= S_W <=
     S_P + U_r, so none is extreme or tied with one.
     """
-    lower = (np.arange(2 * family.m) < family.m)[:, None]
-    rows, total = np.tile(np.arange(family.m)[:, None], (2, family.size)), np.inf
+    m, n, d = stack.shape
+    lower = (np.arange(2 * m) < m)[:, None]
+    rows, total = np.tile(np.arange(m)[:, None], (2, n)), np.inf
     while True:
         w, x = np.linalg.eigh(_row_operators(outer, rows))
         if not (value := np.where(lower[:, 0], w[:, 0], -w[:, -1]).sum()) < total:
             break
         total = value
-        sq = np.einsum("ijd,kd->kji", family.stack, np.where(lower, x[:, :, 0], x[:, :, -1])) ** 2
+        sq = np.einsum("ijd,kd->kji", stack, np.where(lower, x[:, :, 0], x[:, :, -1])) ** 2
         rows = np.where(lower, sq.argmin(axis=2), sq.argmax(axis=2))
     w = np.linalg.eigvalsh(_row_operators(outer, rows))
-    slack, scale = _TIE_RTOL * family.trace, np.ldexp(1.0, -int(np.frexp(family.trace)[1]))
-    scales = np.array([scale, -scale])
-    cuts = np.array([(w[:, 0].min() + slack) * scale, (slack - w[:, -1].max()) * scale])
-    sums = np.zeros((family.size + 1, 2, family.dim, family.dim))
-    sums[1:] = np.cumsum(np.stack(_envelopes(family.stack), axis=1)[::-1], axis=0)
-    return scales, cuts[:, None, None] * np.eye(family.dim) - scales[:, None, None] * sums
+    slack = _TIE_RTOL * FrameFamily.largest_trace(stack)[0]
+    cuts = np.array([w[:, 0].min() + slack, slack - w[:, -1].max()])
+    sums = np.zeros((n + 1, 2, d, d))
+    sums[1:] = np.cumsum(np.stack(_envelopes(stack), axis=1)[::-1], axis=0)
+    return cuts[:, None, None] * np.eye(d) - _SIGNS[:, None, None] * sums
 
 
 def _fold(results):
@@ -376,8 +377,8 @@ def _fold(results):
     return (*min(r[:2] for r in results), max(r[2] for r in results))
 
 
-def _report(family, lo, row, hi, examined, mode, seed=None) -> WeavingReport:
-    lower, upper = max(lo, 0.0), max(hi, 0.0)
+def _report(family, e, lo, row, hi, examined, mode, seed=None) -> WeavingReport:
+    lower, upper = (max(float(np.ldexp(x, 2 * e)), 0.0) for x in (lo, hi))
     woven = lower > zero_threshold(upper)
     return WeavingReport(woven, lower, upper, Partition(row, family.m), examined, mode, seed)
 
@@ -391,9 +392,9 @@ def exhaustive_woven_check(
     ``_walk`` walks the tree of assignment prefixes from its root, in the
     family's index order.  At every level it rules out the nodes whose
     envelopes of ``_envelopes`` keep every completion away from both
-    extremes, and ``_scan`` solves the completions left.  Nothing is ruled
-    out, and all are solved, when n < d (every operator singular), when
-    the largest trace is subnormal (no room for slack) or when
+    extremes, and ``_scan`` solves the completions left, both on the stack
+    that ``unit_scaled`` normalises.  Nothing is ruled out, and all are
+    solved, when n < d (every operator singular) or when
     (d(d + 1) + n)(m + 2) >= 10^6 (rounding could outgrow the slack, see
     ``_positive_definite``).  At each index, a frame whose rank-one term is
     bit-identical to a smaller frame's is not expanded: every weaving
@@ -408,31 +409,29 @@ def exhaustive_woven_check(
     """
     if threads < 1:
         raise InvalidArgumentError("threads must be >= 1")
-    m, n = family.m, family.size
+    m, n, d = family.stack.shape
     total = m**n
     if total > cap:
         raise CapExceededError(
             f"m^n = {total} exceeds cap {cap}; use sampled mode for an estimate"
         )
-    outer = _rank_one_table(family)
+    stack, e = unit_scaled(family.stack)
+    outer = _rank_one_table(stack)
     # bit patterns, so that 0.0 and -0.0 differ
     terms = outer.reshape(m, n, -1).view(np.int64)
     twin = [np.all(terms[:i] == terms[i], axis=2).any(axis=0) for i in range(m)]
     frames = [np.flatnonzero(~column) for column in np.array(twin).T]
-    tests = None
-    d = family.dim
-    if family.trace >= np.finfo(float).tiny and n >= d and (d * (d + 1) + n) * (m + 2) < 10**6:
-        tests = _level_tests(family, outer)
+    shifts = _level_tests(stack, outer) if n >= d and (d * (d + 1) + n) * (m + 2) < 10**6 else None
     # the root is the empty assignment; -0.0 is the identity of IEEE
     # addition, so its children's sums are the terms themselves
     root = np.full((1, d, d), -0.0)
     # lexicographic positions reach m^n - 1, beyond an int64 from 2^63 on
     ids = np.zeros(1, dtype=np.int64 if total < 2**63 else object)
-    plan = outer, frames, tests, _block(d)
+    plan = outer, frames, shifts, _block(d)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         lo, ident, hi = _walk(plan, root, ids, 0, pool.map)
     row = tuple(int(ident) // m ** (n - 1 - j) % m for j in range(n))
-    return _report(family, lo, row, hi, total, "exhaustive")
+    return _report(family, e, lo, row, hi, total, "exhaustive")
 
 
 def sampled_woven_estimate(family: FrameFamily, samples: int, seed: int) -> WeavingReport:
@@ -449,12 +448,13 @@ def sampled_woven_estimate(family: FrameFamily, samples: int, seed: int) -> Weav
     if seed < 0:
         raise InvalidArgumentError("seed must be >= 0")
     m, n = family.m, family.size
-    outer = _rank_one_table(family)
+    stack, e = unit_scaled(family.stack)
+    outer = _rank_one_table(stack)
     rng = np.random.Generator(np.random.PCG64(seed))
     block = _block(family.dim)
     rows = (rng.integers(0, m, size=(min(block, samples - a), n), dtype=np.int64)
             for a in range(0, samples, block))
-    return _report(family, *_fold(_scan_rows(outer, r) for r in rows), samples, "sampled", seed)
+    return _report(family, e, *_fold(_scan_rows(outer, r) for r in rows), samples, "sampled", seed)
 
 
 def weaving_canonical_dual(family: FrameFamily, p: Partition) -> Frame:

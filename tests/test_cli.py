@@ -167,6 +167,15 @@ class TestWeaveCheck:
         assert doc["result"]["woven"] is False
         assert doc["result"]["witness_partition"] == [0, 0, 1]
 
+    def test_all_zero_family_exit_one(self, runner, tmp_path):
+        # the one family whose largest weaving trace squares to 0 and is accepted
+        path = write_family(tmp_path / "zero.json", FrameFamily([Frame(np.zeros((3, 2)))] * 2))
+        for mode in ("exhaustive", "sample"):
+            res = runner.invoke(main, ["weave", "check", path, "--mode", mode])
+            assert res.exit_code == 1
+            doc = json.loads(res.output)["result"]
+            assert (doc["woven"], doc["universal_lower"], doc["universal_upper"]) == (False, 0.0, 0.0)
+
     def test_missing_file_exit_two(self, runner, tmp_path):
         res = runner.invoke(main, ["weave", "check", str(tmp_path / "absent.json")])
         assert res.exit_code == 2
@@ -556,7 +565,10 @@ class TestScaleInvariance:
             for name, args in commands.items()
         }
 
-    @pytest.mark.parametrize("k", [-40, -20, 20])
+    # at 2^-250 and 2^250, LAPACK would rescale the operators by factors of its
+    # own, so every bound comes from the vectors scaled to a largest entry in
+    # [1/2, 1), scaled back
+    @pytest.mark.parametrize("k", [-250, -40, -20, 20, 250])
     def test_reports_scale_exactly(self, runner, tmp_path, monkeypatch, k):
         monkeypatch.setattr(weaving, "_block", lambda d: 16)
         factor = 4.0**k
@@ -584,6 +596,8 @@ class TestScaleInvariance:
 
 OVERFLOW = {"dim": 2, "frames": [{"vectors": [[1e200, 0], [0, 1], [1, 1]]}, {"vectors": [[1, 0], [1, 1], [1, -1]]}]}
 OVERFLOW_SPLIT = {"dim": 2, "frames": [{"vectors": [[1e154, 0], [0, 1], [1, 1]]}, {"vectors": [[1, 0], [1e154, 0], [1, -1]]}]}
+# a woven pair whose rank-one terms all round to 0, and whose largest trace squares below the normal floats
+TINY = {"dim": 2, "frames": [{"vectors": [[1e-170, 0], [0, 1e-170]]}, {"vectors": [[1e-170, 1e-170], [0, 1e-170]]}]}
 
 
 class TestErrorContract:
@@ -594,6 +608,7 @@ class TestErrorContract:
         docs = {
             "overflow": OVERFLOW,
             "split": OVERFLOW_SPLIT,
+            "tiny": TINY,
             "lenient": {"dim": 2, "frames": [{"vectors": [[True, "2"], [0, "1e0"]]}]},
             "ops": {"operators": [np.eye(2).tolist(), np.eye(2).tolist()]},
             "huge_ops": {"operators": [[[1e200, 0], [0, 1]], np.eye(2).tolist()]},
@@ -629,6 +644,10 @@ class TestErrorContract:
             (["weave", "tight", "{overflow}", "--partition", "0,0,1"], "invalid-argument"),
             (["certify", "positivity", "{overflow}"], "invalid-argument"),
             (["certify", "synthesis-perturb", "{pair}", "--perturbed", "{overflow}"], "invalid-argument"),
+            # family whose largest weaving trace squares below the smallest normal float
+            (["frames", "info", "{tiny}"], "invalid-argument"),
+            (["weave", "check", "{tiny}"], "invalid-argument"),
+            (["weave", "check", "{tiny}", "--mode", "sample"], "invalid-argument"),
             # operators whose Gram trace overflows when squared
             (["certify", "invertible", "{pair}", "--ops", "{huge_ops}", "--universal", "1,3"], "invalid-argument"),
             (["certify", "op-family", "{pair}", "--ops", "{huge_ops}"], "invalid-argument"),

@@ -66,6 +66,21 @@ class TestFrameBounds:
     def test_fewer_vectors_than_dim(self):
         assert frame_bounds(Frame([[1.0, 0.0]])).lower == 0.0
 
+    def test_scaling_by_a_power_of_two_is_exact(self):
+        # the spectrum is read from the vectors scaled to a largest entry in
+        # [1/2, 1), so a frame times 2^k has its bounds and inverse times
+        # 4^k and 4^-k exactly, also where LAPACK would rescale S itself;
+        # a bound that overflows is rejected without a warning
+        fr = Frame(np.random.default_rng(5).normal(size=(6, 3)))
+        inv, b = inverse_frame_operator(fr, "x")
+        for k in (-300, -250, 250, 300):
+            scaled = Frame(np.ldexp(fr.vectors, k))
+            inv_k, b_k = inverse_frame_operator(scaled, "x")
+            assert frame_bounds(scaled) == b_k == Bounds(np.ldexp(b.lower, 2 * k), np.ldexp(b.upper, 2 * k))
+            np.testing.assert_array_equal(inv_k, np.ldexp(inv, -2 * k))
+        with pytest.raises(InvalidArgumentError, match="< inf"):
+            frame_bounds(Frame([[1e200, 0.0], [0.0, 1.0]]))
+
     def test_scaling_quadratic(self):
         rng = np.random.default_rng(2)
         for _ in range(50):

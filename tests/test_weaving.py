@@ -1,6 +1,7 @@
 import collections
+import dataclasses
+import functools
 import itertools
-import math
 import os
 import subprocess
 import sys
@@ -48,6 +49,7 @@ from wovenframes.errors import (
     ShapeMismatchError,
 )
 from wovenframes import weaving
+from wovenframes.linalg import unit_scaled
 
 
 def example_family():
@@ -82,9 +84,9 @@ class TestFrameFamily:
         fam = FrameFamily([f, g])
         np.testing.assert_array_equal(fam.stack, np.stack([f.vectors, g.vectors]))
         assert not fam.stack.flags.writeable
-        assert fam.trace == FrameFamily.largest_trace(fam.stack)[0] == 1.0 + 2.0 + 2.0
+        assert FrameFamily.largest_trace(fam.stack) == (1.0 + 2.0 + 2.0, False)
         # derived fields stay out of repr
-        assert "stack" not in repr(fam) and "trace" not in repr(fam)
+        assert "stack" not in repr(fam)
 
     def test_compares_by_identity_without_raising(self):
         f, g = example_pair()
@@ -113,6 +115,32 @@ class TestFrameFamily:
         # a trace of about 1e154 squares to 1e308, still finite
         report = exhaustive_woven_check(FrameFamily([Frame([[1e77, 0.0], [0.0, 1.0], [1.0, 1.0]]), g]))
         assert np.isfinite(report.universal_upper)
+
+    def test_rejects_a_weaving_trace_that_underflows_when_squared(self):
+        # a largest trace that squares below the smallest normal float is
+        # rejected, as one that overflows is: vectors below about 1e-77,
+        # including the woven 1e-170 pair whose rank-one terms all round to 0
+        rng = np.random.default_rng(109)
+        tiny = [[Frame(scale * rng.normal(size=(8, d))) for _ in range(2)]
+                for scale, d in itertools.product((1e-155, 1e-160, 1e-162), (2, 3))]
+        tiny.append([Frame(1e-170 * np.array([[1.0, 0.0], [0.0, 1.0]])),
+                     Frame(1e-170 * np.array([[1.0, 1.0], [0.0, 1.0]]))])
+        for members in tiny:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidArgumentError, match="too small"):
+                    FrameFamily(members)
+        # a trace of about 2^-500 squares to a normal float
+        g = Frame(np.ldexp([[1.0, 0.0], [1.0, 1.0], [1.0, -1.0]], -250))
+        FrameFamily([g, g])
+
+    def test_an_all_zero_family_is_not_woven(self):
+        # the one family whose largest trace is 0: every test fails on its
+        # 0 operators, and every weaving, one twin of all, is solved
+        zero = FrameFamily([Frame(np.zeros((6, 2)))] * 3)
+        for rep in (exhaustive_woven_check(zero), sampled_woven_estimate(zero, samples=10, seed=1)):
+            assert (rep.woven, rep.universal_lower, rep.universal_upper) == (False, 0.0, 0.0)
+        assert exhaustive_woven_check(zero) == full_flat_scan(zero)
 
 
 class TestWeave:
@@ -313,9 +341,9 @@ class TestExhaustiveCheck:
         tested, solved = [], scanned_operators(monkeypatch)
         positive_definite = weaving._positive_definite
 
-        def recording_positive_definite(s, scales, shifts):
+        def recording_positive_definite(s, shifts):
             tested.append(len(s))
-            return positive_definite(s, scales, shifts)
+            return positive_definite(s, shifts)
 
         monkeypatch.setattr(weaving, "_positive_definite", recording_positive_definite)
         reports = []
@@ -360,7 +388,7 @@ class TestExhaustiveCheck:
     def test_completions_match_the_per_row_gather(self, monkeypatch, m, n, d, depth):
         rng = np.random.default_rng(59)
         fam = FrameFamily([Frame(rng.normal(size=(n, d))) for _ in range(m)])
-        outer = weaving._rank_one_table(fam)
+        outer = weaving._rank_one_table(fam.stack)
         prefix = tuple(int(x) for x in rng.integers(0, m, size=n - depth))
         digits = np.array([prefix + s for s in itertools.product(range(m), repeat=depth)])
         stacks = []
@@ -375,7 +403,7 @@ class TestExhaustiveCheck:
         rng = np.random.default_rng(61)
         for m, n, d in ((2, 9, 3), (3, 6, 2), (4, 5, 4)):
             fam = FrameFamily([Frame(rng.normal(size=(n, d))) for _ in range(m)])
-            outer = weaving._rank_one_table(fam)
+            outer = weaving._rank_one_table(fam.stack)
             digits = rng.integers(0, m, size=(200, n))
             assert np.array_equal(weaving._row_operators(outer, digits), gather_operators(outer, digits))
 
@@ -582,20 +610,29 @@ def levels_tested(monkeypatch):
     level_tests, positive_definite = weaving._level_tests, weaving._positive_definite
 
     def recording_level_tests(*args):
-        built[:] = level_tests(*args)
-        return tuple(built)
+        built[:] = [level_tests(*args)]
+        return built[0]
 
-    def recording_positive_definite(s, scales, shifts):
-        ok = positive_definite(s, scales, shifts)
+    def recording_positive_definite(s, shifts):
+        ok = positive_definite(s, shifts)
         # a level's shifts are the row of the built table they start at
-        assert scales is built[0] and shifts.base is built[1]
-        r = (shifts.ctypes.data - built[1].ctypes.data) // built[1].strides[0]
+        assert shifts.base is built[0]
+        r = (shifts.ctypes.data - built[0].ctypes.data) // built[0].strides[0]
         levels[r].append((len(s), int(ok.sum())))
         return ok
 
     monkeypatch.setattr(weaving, "_level_tests", recording_level_tests)
     monkeypatch.setattr(weaving, "_positive_definite", recording_positive_definite)
     return levels
+
+
+def one_side(shifts, side):
+    """The (2, d, d) ``shifts`` of ``_positive_definite``'s two tests, with
+    the test of the other sign made to pass: its shift is -inf I, so every
+    pivot it takes from an S of finite entries is +inf."""
+    out = np.array(shifts)
+    out[1 - side] = np.diag(np.full(out.shape[-1], -np.inf))
+    return out
 
 
 class TestFlatScanCuts:
@@ -610,28 +647,6 @@ class TestFlatScanCuts:
             expected = full_flat_scan(fam)
             for t in (1, 2):
                 assert exhaustive_woven_check(fam, threads=t) == expected, (kind, t)
-
-    def test_subnormal_operators_are_all_solved(self, monkeypatch):
-        # a largest trace below the smallest normal float leaves no room for
-        # the slack, so the scan takes no cuts and solves every operator,
-        # without a warning
-        monkeypatch.setattr(weaving, "_level_tests", refuse)
-        monkeypatch.setattr(weaving, "_positive_definite", refuse)
-        scans = scanned_operators(monkeypatch)
-        rng = np.random.default_rng(109)
-        for scale, d in itertools.product((1e-155, 1e-160, 1e-162), (2, 3)):
-            fam = FrameFamily([Frame(scale * rng.normal(size=(8, d))) for _ in range(2)])
-            assert fam.trace < np.finfo(float).tiny
-            scans.clear()
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert exhaustive_woven_check(fam) == full_flat_scan(fam)
-            # squares that underflow alike leave bit-identical terms, whose
-            # twins are not expanded; every other weaving is solved
-            outer = weaving._rank_one_table(fam)
-            distinct = [len({term.tobytes() for term in outer[:, j]}) for j in range(8)]
-            assert scans == [math.prod(distinct)]
-            assert (math.prod(distinct) == 2**8) == (scale > 1e-162)
 
     @pytest.mark.parametrize("m, n, d, chunks", [(2, 7, 9, 2), (3, 4, 8, 3), (2, 8, 12, 4)])
     def test_n_below_d_takes_no_cuts(self, monkeypatch, m, n, d, chunks):
@@ -744,41 +759,38 @@ class TestSubtreeEnvelopes:
         for m, n, d, eps in ((2, 10, 4, 0.3), (2, 9, 5, 1.0), (3, 7, 3, 0.3), (4, 6, 3, 0.1)):
             base = rng.normal(size=(n, d))
             fam = FrameFamily([Frame(base + eps * rng.normal(size=(n, d))) for _ in range(m)])
-            outer = weaving._rank_one_table(fam)
-            scales, shifts = weaving._level_tests(fam, outer)
-            assert scales.shape == (2,) and shifts.shape == (n + 1, 2, d, d)
+            stack, _ = unit_scaled(fam.stack)
+            outer = weaving._rank_one_table(stack)
+            shifts = weaving._level_tests(stack, outer)
+            assert shifts.shape == (n + 1, 2, d, d)
             for r in (5, 4, 2, 1):
                 prefixes = rng.integers(0, m, size=(60, n - r))
                 nodes = weaving._row_operators(outer, prefixes)
-                node_passes = [
-                    weaving._positive_definite(nodes, scales[[side]], shifts[r, [side]]) for side in (0, 1)
-                ]
+                node_passes = [weaving._positive_definite(nodes, one_side(shifts[r], side)) for side in (0, 1)]
                 for k, prefix in enumerate(prefixes):
                     rows = np.array([tuple(prefix) + s for s in itertools.product(range(m), repeat=r)])
                     leaves = weaving._row_operators(outer, rows)
                     for side in (0, 1):
                         if node_passes[side][k]:
                             passed += 1
-                            assert weaving._positive_definite(leaves, scales[[side]], shifts[0, [side]]).all()
+                            assert weaving._positive_definite(leaves, one_side(shifts[0], side)).all()
         assert passed > 200
 
     @pytest.mark.parametrize("m, n, d", [(2, 10, 4), (3, 7, 3)])
     def test_level_tests_sum_the_envelopes_from_the_last_index_back(self, m, n, d):
         # the table against a loop over its rows: row r shifts the cut of
-        # each test by its scale times the envelopes of the last r indices
+        # each test by its sign times the envelopes of the last r indices
         rng = np.random.default_rng(179 + m)
-        fam = FrameFamily([Frame(rng.normal(size=(n, d))) for _ in range(m)])
-        scales, shifts = weaving._level_tests(fam, weaving._rank_one_table(fam))
-        c = scales[0]
-        assert scales[1] == -c and np.frexp(c)[0] == 0.5 and 0.5 <= c * fam.trace < 1.0
+        stack, _ = unit_scaled(rng.normal(size=(m, n, d)))
+        shifts = weaving._level_tests(stack, weaving._rank_one_table(stack))
         assert shifts.shape == (n + 1, 2, d, d)
-        envelopes = weaving._envelopes(fam.stack)
+        envelopes = weaving._envelopes(stack)
         for side in (0, 1):
             cut, total = shifts[0, side, 0, 0], np.zeros((d, d))
             np.testing.assert_array_equal(shifts[0, side], cut * np.eye(d))
             for r in range(1, n + 1):
                 total = total + envelopes[side][n - r]
-                np.testing.assert_array_equal(shifts[r, side], cut * np.eye(d) - scales[side] * total)
+                np.testing.assert_array_equal(shifts[r, side], cut * np.eye(d) - weaving._SIGNS[side] * total)
 
     @pytest.mark.parametrize("m, n, d, chunks", [(2, 10, 3, 16), (3, 6, 4, 27)])
     @pytest.mark.parametrize("k", [-40, 0, 40])
@@ -827,13 +839,22 @@ class TestSubtreeEnvelopes:
 
 class TestPositiveDefinite:
     """weaving._positive_definite against eigvalsh of scale S - shift I, with
-    the shift passed as the matrix shift * I."""
+    the shift passed as the matrix shift * I.  The kernel tests +S and -S,
+    so a test of scale S runs as the test of its sign on |scale| S, which
+    rounds as the product scale S does."""
 
     @staticmethod
     def kernel(s, *tests):
-        """The kernel on the (scale, matrix shift) pairs ``tests``."""
-        scales, shifts = zip(*tests)
-        return weaving._positive_definite(s, np.array(scales), np.array(shifts))
+        """The kernel on the (scale, matrix shift) pairs ``tests``, at most
+        one of each sign, and all of one |scale|; a sign with no test takes
+        the shift of ``one_side``, which every S passes."""
+        (size,) = {abs(scale) for scale, _ in tests}
+        shifts = np.array([np.diag(np.full(s.shape[1], -np.inf))] * 2)
+        for scale, shift in tests:
+            shifts[int(scale < 0)] = shift
+        with np.errstate(over="ignore"):
+            s = size * s
+        return weaving._positive_definite(s, shifts)
 
     def passes(self, s, scale, shift):
         return self.kernel(s, (scale, shift * np.eye(s.shape[1])))
@@ -1131,8 +1152,11 @@ class TestWeavingDuals:
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         fam, p = example_family(), Partition((0, 0, 1), 2)
         weaving_alternate_dual(fam, p, np.array([[1.0], [0.0]]))
+        # S_W times the power of two that unit_scaled takes from its vectors
         s_w = weaving_operator(fam, p)
-        assert sum(np.array_equal(s, s_w) for s in stacks) == 1
+        _, e = unit_scaled(weave(fam, p).vectors)
+        assert e == 1
+        assert sum(np.array_equal(s, np.ldexp(s_w, -2 * e)) for s in stacks) == 1
 
     def test_raw_form_never_computes_the_kernel(self, monkeypatch):
         def refused(m):
@@ -1234,12 +1258,27 @@ def replay_families(rng, m, n, d):
 
 
 def assert_replays(fam, rep):
-    """The witness's operator, from weaving_operator and eigvalsh, gives the
+    """The witness's spectrum, read as frame_bounds reads it, from the
+    operator of its vectors scaled by unit_scaled and scaled back, gives the
     report's lower bound bit for bit, and so does weaving_bounds when woven."""
-    s = weaving_operator(fam, rep.witness_partition)
-    assert max(float(np.linalg.eigvalsh(s)[0]), 0.0) == rep.universal_lower
+    v, e = unit_scaled(weave(fam, rep.witness_partition).vectors)
+    lower = np.linalg.eigvalsh(frame_operator(Frame(v)))[0]
+    assert max(float(np.ldexp(lower, 2 * e)), 0.0) == rep.universal_lower
     if rep.woven:
         assert weaving_bounds(fam, rep.witness_partition).lower == rep.universal_lower
+
+
+def extreme_scales(fam, scan):
+    """``fam`` times 2^-250 and 2^250, each with its report by ``scan``,
+    which must be the report of ``fam`` with each bound times 4^-250 or
+    4^250, beyond where LAPACK rescales an operator by a factor of its own."""
+    rep = scan(fam)
+    for k in (-250, 250):
+        scaled = FrameFamily([Frame(np.ldexp(fr.vectors, k)) for fr in fam.frames])
+        scaled_rep = scan(scaled)
+        lower, upper = np.ldexp([rep.universal_lower, rep.universal_upper], 2 * k)
+        assert scaled_rep == dataclasses.replace(rep, universal_lower=lower, universal_upper=upper), k
+        yield scaled, scaled_rep
 
 
 def recorded_walks(monkeypatch):
@@ -1260,7 +1299,8 @@ class TestReplay:
     solves each weaving operator as the scans build and solve theirs."""
 
     def test_cell_path(self, monkeypatch):
-        # d = 2: every family takes one walk from the root, unsplit
+        # d = 2: every family takes one walk from the root, unsplit, and so
+        # does the first one times 2^-250 and 2^250
         walks = recorded_walks(monkeypatch)
         rng = np.random.default_rng(191)
         for m, n in ((2, 12), (3, 7)):
@@ -1268,6 +1308,11 @@ class TestReplay:
                 walks.clear()
                 assert_replays(fam, exhaustive_woven_check(fam))
                 assert walks == [0]
+        # each scan clears the walks it records first
+        scan = lambda fam: walks.clear() or exhaustive_woven_check(fam)
+        for fam, rep in extreme_scales(replay_families(rng, 2, 12, 2)[0], scan):
+            assert_replays(fam, rep)
+            assert walks == [0]
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_flat_path_in_chunks(self, monkeypatch, threads):
@@ -1284,19 +1329,30 @@ class TestReplay:
                 assert walks[0] == 0
                 splits.append(len(walks) > 1)
             assert all(splits[:6]) and not all(splits)
+        # a near copy times 2^-250 and 2^250 splits as well
+        scan = lambda fam: walks.clear() or exhaustive_woven_check(fam, threads=threads)
+        for fam, rep in extreme_scales(replay_families(rng, 2, 12, 3)[0], scan):
+            assert_replays(fam, rep)
+            assert walks[0] == 0 and len(walks) > 1
 
     def test_sampled(self):
         rng = np.random.default_rng(197)
         for m, n, d in ((2, 12, 2), (2, 12, 3), (3, 9, 4)):
             for seed, fam in enumerate(replay_families(rng, m, n, d)):
                 assert_replays(fam, sampled_woven_estimate(fam, samples=300, seed=seed))
+        scan = functools.partial(sampled_woven_estimate, samples=300, seed=1)
+        for fam, rep in extreme_scales(replay_families(rng, 2, 12, 3)[0], scan):
+            assert_replays(fam, rep)
 
     def test_one_frame_bounds_are_the_scans(self):
         rng = np.random.default_rng(199)
+        frames = []
         for n, d in ((3, 2), (7, 3), (12, 8)):
-            for _ in range(10):
-                fr = Frame(rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1)))
-                b = frame_bounds(fr)
-                for rep in (exhaustive_woven_check(FrameFamily([fr])),
-                            sampled_woven_estimate(FrameFamily([fr]), samples=1, seed=1)):
-                    assert (b.lower, b.upper) == (rep.universal_lower, rep.universal_upper)
+            frames += [Frame(rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))) for _ in range(10)]
+        # and the first times 2^-250 and 2^250
+        frames += [fam.frames[0] for fam, _ in extreme_scales(FrameFamily(frames[:1]), exhaustive_woven_check)]
+        for fr in frames:
+            b = frame_bounds(fr)
+            for rep in (exhaustive_woven_check(FrameFamily([fr])),
+                        sampled_woven_estimate(FrameFamily([fr]), samples=1, seed=1)):
+                assert (b.lower, b.upper) == (rep.universal_lower, rep.universal_upper)
