@@ -29,6 +29,7 @@ from .frames import (
     Bounds,
     Frame,
     _bessel_sum,
+    _operator,
     frame_bounds,
     frame_operator,
     inverse_frame_operator,
@@ -41,6 +42,7 @@ from .linalg import (
     operator_norm,
     singular_values,
     sym_eig_bounds,
+    unit_scaled,
     zero_threshold,
 )
 from .weaving import DEFAULT_CAP, FrameFamily, bessel_upper_bound, exhaustive_woven_check
@@ -116,10 +118,14 @@ def certify_dual_canonicals(f: Frame, g: Frame, universal: Bounds) -> Certificat
     a, b = _universal(universal)
     inv_f, bounds_f = inverse_frame_operator(f, _not_spanning("first frame"))
     inv_g, bounds_g = inverse_frame_operator(g, _not_spanning("second frame"))
-    gap = operator_norm(frame_operator(f) - frame_operator(g))
+    # both gaps are read at the scale of the jointly unit_scaled vectors and
+    # scaled back, exactly: LAPACK rescales a raw S_F - S_G of extreme size
+    # by a factor of its own
+    v, e = unit_scaled(np.concatenate([f.vectors, g.vectors]))
+    gap = float(np.ldexp(operator_norm(_operator(v[: f.size]) - _operator(v[f.size :])), 2 * e))
+    inv_gap = float(np.ldexp(operator_norm(np.ldexp(inv_g - inv_f, 2 * e)), -2 * e))
     # ||S^-1|| = 1/A and ||S|| = B, read from the same spectra
     norm_inv_f, norm_inv_g = 1.0 / bounds_f.lower, 1.0 / bounds_g.lower
-    inv_gap = operator_norm(inv_g - inv_f)
     ratio = a / b
     ok_f = norm_inv_f * gap < ratio
     ok_g = norm_inv_g * gap < ratio

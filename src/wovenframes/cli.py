@@ -4,25 +4,25 @@ Exit codes: 0 = check passed / certificate satisfied / info rendered,
 1 = valid run with a negative verdict (not woven / hypothesis rejected),
 2 = usage or input error.  Reports go to stdout as deterministic JSON;
 errors go to stderr as a single machine-parsable line, written in one place:
-the group class of ``main``.
+``main`` catches every ToolError, and the parser's ``error`` raises usage
+errors as InvalidArgumentError, so they take the same path.
 
 A process starts at ``run``, the entry of both ``python -m wovenframes`` and
 the ``wovenframes`` script: it calls ``main``, flushes stdout and stderr, and
 ends with ``os._exit``, skipping the interpreter's teardown (about 20 ms of a
 140 ms run, after the report is already written).  Any exception other than
 ``SystemExit`` leaves ``run`` as it came, with its traceback and the normal
-exit.  Called in-process, as ``CliRunner`` calls it, ``main`` raises
-``SystemExit`` as any click group does, and nothing ends the interpreter.
+exit.  Called in-process, as ``main.main(args, prog_name)``, ``main`` raises
+``SystemExit`` with the exit code, and nothing ends the interpreter.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
 from typing import NoReturn
-
-import click
 
 from . import certify as ct
 from . import io as fio
@@ -36,7 +36,6 @@ from .weaving import (
     exhaustive_woven_check,
     is_tight_weaving,
     sampled_woven_estimate,
-    weave,
     weaving_alternate_dual,
     weaving_bounds,
     weaving_canonical_dual,
@@ -55,36 +54,21 @@ CERTIFY_METHODS = (
 )
 
 
-class _OneLineErrors(click.Group):
-    """Reports every ToolError, and every usage error click raises, as one
-    JSON line on stderr with exit 2.  A bare invocation still prints help."""
+class _Parser(argparse.ArgumentParser):
+    """Raises every usage error as InvalidArgumentError, for ``main`` to report."""
 
-    def make_context(self, *args, **kwargs):
-        return self._guard(super().make_context, *args, **kwargs)
-
-    def invoke(self, ctx):
-        return self._guard(super().invoke, ctx)
-
-    @staticmethod
-    def _guard(step, *args, **kwargs):
-        try:
-            return step(*args, **kwargs)
-        except click.exceptions.NoArgsIsHelpError:
-            raise
-        except click.ClickException as exc:
-            error = InvalidArgumentError(exc.format_message())
-        except ToolError as exc:
-            error = exc
-        click.echo(json.dumps({"error": error.code, "message": error.message}, sort_keys=True), err=True)
-        sys.exit(2)
+    def error(self, message: str) -> NoReturn:
+        raise InvalidArgumentError(message)
 
 
-def _emit(command: str, inputs: dict, result, positive: bool):
-    click.echo(fio.render_report(command, inputs, result), nl=False)
+def _emit(command: str, inputs: dict, result, positive: bool) -> NoReturn:
+    sys.stdout.write(fio.render_report(command, inputs, result))
+    # flushed here, so that a failed write raises from this frame
+    sys.stdout.flush()
     sys.exit(0 if positive else 1)
 
 
-def _one_weaving(file, partition: str) -> tuple[FrameFamily, Partition, dict]:
+def _one_weaving(file: str, partition: str) -> tuple[FrameFamily, Partition, dict]:
     """The family, the parsed --partition and the report inputs of a one-weaving command."""
     family = fio.parse_frame_file(file)
     try:
@@ -92,7 +76,7 @@ def _one_weaving(file, partition: str) -> tuple[FrameFamily, Partition, dict]:
     except ValueError:
         raise InvalidParamsError(f"partition must be a comma-separated word, got {partition!r}")
     p = Partition(assignment, family.m)
-    return family, p, {"file": str(file), "partition": p}
+    return family, p, {"file": file, "partition": p}
 
 
 def _parse_csv_floats(text: str, name: str) -> list[float]:
@@ -102,35 +86,8 @@ def _parse_csv_floats(text: str, name: str) -> list[float]:
         raise InvalidParamsError(f"--{name} must be comma-separated numbers, got {text!r}")
 
 
-@click.group(cls=_OneLineErrors)
-@click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True, help="Duality / residual tolerance.")
-@click.option("--cap", type=int, default=DEFAULT_CAP, show_default=True, help="Exhaustive enumeration cap on m^n.")
-@click.option("--seed", type=int, default=1, show_default=True, help="Seed for sampled mode.")
-@click.option("--samples", type=int, default=10000, show_default=True, help="Sample count for sampled mode.")
-@click.option("--threads", type=int, default=1, show_default=True, help="Worker threads for exhaustive scans.")
-@click.pass_context
-def main(ctx, tol, cap, seed, samples, threads):
-    """Finite frame toolkit: weaving bounds, wovenness checks, duals, certificates."""
-    check_tol(tol)
-    for name, value, least in (
-        ("threads", threads, 1), ("samples", samples, 1), ("seed", seed, 0), ("cap", cap, 1)
-    ):
-        if value < least:
-            raise InvalidArgumentError(f"{name} must be >= {least}")
-    ctx.obj = {"tol": tol, "cap": cap, "seed": seed, "samples": samples, "threads": threads}
-
-
-@main.group("frames")
-def frames_group():
-    """Single-frame information."""
-
-
-@frames_group.command("info")
-@click.argument("file", type=click.Path())
-@click.pass_obj
-def frames_info(opts, file):
-    """Report per-frame bounds and frame verdicts."""
-    family = fio.parse_frame_file(file)
+def frames_info(opts) -> NoReturn:
+    family = fio.parse_frame_file(opts.file)
     bounds = [frame_bounds(fr) for fr in family.frames]
     result = {
         "dim": family.dim,
@@ -142,71 +99,44 @@ def frames_info(opts, file):
         ],
         "bessel_upper_bound": _bessel_sum(bounds),
     }
-    _emit("frames info", {"file": str(file)}, result, positive=True)
+    _emit("frames info", {"file": opts.file}, result, positive=True)
 
 
-@main.group("weave")
-def weave_group():
-    """Weaving-level analysis."""
-
-
-@weave_group.command("check")
-@click.argument("file", type=click.Path())
-@click.option("--mode", type=click.Choice(["exhaustive", "sample"]), default="exhaustive", show_default=True)
-@click.pass_obj
-def weave_check(opts, file, mode):
-    """Decide (or estimate) wovenness over all partitions."""
-    family = fio.parse_frame_file(file)
-    if mode == "exhaustive":
-        report = exhaustive_woven_check(family, cap=opts["cap"], threads=opts["threads"])
-        inputs = {"file": str(file), "mode": mode, "cap": opts["cap"]}
+def weave_check(opts) -> NoReturn:
+    family = fio.parse_frame_file(opts.file)
+    if opts.mode == "exhaustive":
+        report = exhaustive_woven_check(family, cap=opts.cap, threads=opts.threads)
+        inputs = {"file": opts.file, "mode": opts.mode, "cap": opts.cap}
     else:
-        report = sampled_woven_estimate(family, samples=opts["samples"], seed=opts["seed"])
-        inputs = {"file": str(file), "mode": mode, "samples": opts["samples"], "seed": opts["seed"]}
+        report = sampled_woven_estimate(family, samples=opts.samples, seed=opts.seed)
+        inputs = {"file": opts.file, "mode": opts.mode, "samples": opts.samples, "seed": opts.seed}
     _emit("weave check", inputs, report, positive=report.woven)
 
 
-@weave_group.command("bounds")
-@click.argument("file", type=click.Path())
-@click.option("--partition", required=True, help="Comma-separated assignment word, e.g. 0,0,1.")
-@click.pass_obj
-def weave_bounds_cmd(opts, file, partition):
-    """Optimal bounds of one weaving."""
-    family, p, inputs = _one_weaving(file, partition)
+def weave_bounds_cmd(opts) -> NoReturn:
+    family, p, inputs = _one_weaving(opts.file, opts.partition)
     b = weaving_bounds(family, p)
     result = {"bounds": b, "is_frame": b.lower > 0.0}
     _emit("weave bounds", inputs, result, positive=True)
 
 
-@weave_group.command("dual")
-@click.argument("file", type=click.Path())
-@click.option("--partition", required=True, help="Comma-separated assignment word.")
-@click.option("--alternate", type=click.Path(), default=None,
-              help="Coefficients file selecting kernel combinations for an alternate dual.")
-@click.pass_obj
-def weave_dual(opts, file, partition, alternate):
-    """Canonical (or alternate) dual of one weaving."""
-    family, p, inputs = _one_weaving(file, partition)
-    if alternate is None:
+def weave_dual(opts) -> NoReturn:
+    family, p, inputs = _one_weaving(opts.file, opts.partition)
+    if opts.alternate is None:
         dual = weaving_canonical_dual(family, p)
         kind = "canonical"
     else:
-        coeffs = fio.parse_coefficients_file(alternate)
-        dual = weaving_alternate_dual(family, p, coeffs, tol=opts["tol"])
+        coeffs = fio.parse_coefficients_file(opts.alternate)
+        dual = weaving_alternate_dual(family, p, coeffs, tol=opts.tol)
         kind = "alternate"
-        inputs["alternate"] = str(alternate)
+        inputs["alternate"] = opts.alternate
     result = {"kind": kind, "dual": dual}
     _emit("weave dual", inputs, result, positive=True)
 
 
-@weave_group.command("tight")
-@click.argument("file", type=click.Path())
-@click.option("--partition", required=True, help="Comma-separated assignment word.")
-@click.pass_obj
-def weave_tight(opts, file, partition):
-    """Test one weaving for tightness."""
-    family, p, inputs = _one_weaving(file, partition)
-    a = is_tight_weaving(family, p, tol=opts["tol"])
+def weave_tight(opts) -> NoReturn:
+    family, p, inputs = _one_weaving(opts.file, opts.partition)
+    a = is_tight_weaving(family, p, tol=opts.tol)
     result = {"tight": a is not None, "constant": a}
     _emit("weave tight", inputs, result, positive=a is not None)
 
@@ -218,10 +148,10 @@ def _parse_universal(text: str) -> Bounds:
     return Bounds(vals[0], vals[1])
 
 
-def _resolve_universal(opts, family: FrameFamily, universal: str | None) -> Bounds:
-    if universal is not None:
-        return _parse_universal(universal)
-    report = exhaustive_woven_check(family, cap=opts["cap"], threads=opts["threads"])
+def _resolve_universal(opts, family: FrameFamily) -> Bounds:
+    if opts.universal is not None:
+        return _parse_universal(opts.universal)
+    report = exhaustive_woven_check(family, cap=opts.cap, threads=opts.threads)
     if not report.woven:
         raise InvalidParamsError(
             "family is not woven, so no universal bounds exist; this certifier "
@@ -230,21 +160,10 @@ def _resolve_universal(opts, family: FrameFamily, universal: str | None) -> Boun
     return Bounds(report.universal_lower, report.universal_upper)
 
 
-@main.command("certify")
-@click.argument("method", type=click.Choice(CERTIFY_METHODS))
-@click.argument("file", type=click.Path())
-@click.option("--k", type=int, default=0, show_default=True, help="Reference frame index.")
-@click.option("--lambda", "lambdas", default=None, help="Comma-separated lambda values.")
-@click.option("--mu", "mus", default=None, help="Comma-separated mu values.")
-@click.option("--ops", type=click.Path(), default=None, help="Operators file.")
-@click.option("--universal", default=None, help="Known universal bounds A,B of the woven family.")
-@click.option("--perturbed", type=click.Path(), default=None,
-              help="Frame file with the perturbed family (synthesis-perturb).")
-@click.pass_obj
-def certify_cmd(opts, method, file, k, lambdas, mus, ops, universal, perturbed):
-    """Run one sufficient-condition certifier."""
-    family = fio.parse_frame_file(file)
-    inputs = {"file": str(file), "method": method}
+def certify_cmd(opts) -> NoReturn:
+    method, k = opts.method, opts.k
+    family = fio.parse_frame_file(opts.file)
+    inputs = {"file": opts.file, "method": method}
 
     def two_frames():
         if family.m < 2:
@@ -253,25 +172,23 @@ def certify_cmd(opts, method, file, k, lambdas, mus, ops, universal, perturbed):
 
     if method == "dual-canonicals":
         f, g = two_frames()
-        bounds = _resolve_universal(opts, FrameFamily([f, g]), universal)
+        bounds = _resolve_universal(opts, FrameFamily([f, g]))
         inputs["universal"] = bounds
         cert = ct.certify_dual_canonicals(f, g, bounds)
     elif method == "op-characterization":
-        if universal is None:
+        if opts.universal is None:
             raise InvalidParamsError("op-characterization needs --universal A,B (A is tested)")
-        a = _parse_universal(universal).lower
+        a = _parse_universal(opts.universal).lower
         inputs["lower_bound"] = a
-        cert = ct.verify_operator_characterization(
-            family, a, cap=opts["cap"], threads=opts["threads"]
-        )
+        cert = ct.verify_operator_characterization(family, a, cap=opts.cap, threads=opts.threads)
     elif method == "dual-pair":
         f, g = two_frames()
-        cert = ct.certify_commuting_dual_pair(f, g, tol=opts["tol"])
+        cert = ct.certify_commuting_dual_pair(f, g, tol=opts.tol)
     elif method == "op-family":
-        if ops is None:
+        if opts.ops is None:
             raise InvalidParamsError("op-family needs --ops <file>")
-        operators = fio.parse_operators_file(ops)
-        inputs.update({"ops": str(ops), "k": k})
+        operators = fio.parse_operators_file(opts.ops)
+        inputs.update({"ops": opts.ops, "k": k})
         cert = ct.certify_operator_family(family.frames[0], operators, k)
     elif method == "synthesis-gap":
         inputs["k"] = k
@@ -280,34 +197,113 @@ def certify_cmd(opts, method, file, k, lambdas, mus, ops, universal, perturbed):
         inputs["k"] = k
         cert = ct.certify_positivity(family, k)
     elif method == "lm-perturb":
-        if lambdas is None or mus is None:
+        if opts.lambdas is None or opts.mus is None:
             raise InvalidParamsError("lm-perturb needs --lambda and --mu (one value per i != k)")
-        lam = _parse_csv_floats(lambdas, "lambda")
-        mu = _parse_csv_floats(mus, "mu")
+        lam = _parse_csv_floats(opts.lambdas, "lambda")
+        mu = _parse_csv_floats(opts.mus, "mu")
         if len(lam) != len(mu):
             raise InvalidParamsError("--lambda and --mu must have equal lengths")
         params = [ct.PerturbParams(a, b) for a, b in zip(lam, mu)]
         inputs.update({"k": k, "lambda": lam, "mu": mu})
         cert = ct.certify_lm_perturbation(family, k, params)
     elif method == "invertible":
-        if ops is None:
+        if opts.ops is None:
             raise InvalidParamsError("invertible needs --ops <file>")
-        operators = fio.parse_operators_file(ops)
-        bounds = _resolve_universal(opts, family, universal)
-        inputs.update({"ops": str(ops), "universal": bounds})
+        operators = fio.parse_operators_file(opts.ops)
+        bounds = _resolve_universal(opts, family)
+        inputs.update({"ops": opts.ops, "universal": bounds})
         cert, _ = ct.certify_invertible_stability(family, bounds, operators)
     else:  # synthesis-perturb
-        if perturbed is None:
+        if opts.perturbed is None:
             raise InvalidParamsError("synthesis-perturb needs --perturbed <file>")
-        other = fio.parse_frame_file(perturbed)
-        bounds = _resolve_universal(opts, family, universal)
-        inputs.update({"perturbed": str(perturbed), "universal": bounds})
+        other = fio.parse_frame_file(opts.perturbed)
+        bounds = _resolve_universal(opts, family)
+        inputs.update({"perturbed": opts.perturbed, "universal": bounds})
         cert = ct.certify_synthesis_perturbation(family, other, bounds)
 
     _emit("certify", inputs, cert, positive=cert.hypothesis_satisfied)
 
 
-def run() -> NoReturn:
+def _parser(prog: str | None) -> _Parser:
+    """The command tree; each command's parser names the function that runs it as ``func``."""
+
+    def commands(parser):
+        return parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(group, name, summary, func=None):
+        parser = group.add_parser(name, help=summary, description=summary, allow_abbrev=False)
+        parser.set_defaults(func=func)
+        return parser
+
+    root = _Parser(
+        prog=prog,
+        description="Finite frame toolkit: weaving bounds, wovenness checks, duals, certificates.",
+        allow_abbrev=False,
+    )
+    for name, kind, default, help in (
+        ("tol", float, DEFAULT_TOL, "Duality / residual tolerance."),
+        ("cap", int, DEFAULT_CAP, "Exhaustive enumeration cap on m^n."),
+        ("seed", int, 1, "Seed for sampled mode."),
+        ("samples", int, 10000, "Sample count for sampled mode."),
+        ("threads", int, 1, "Worker threads for exhaustive scans."),
+    ):
+        root.add_argument(f"--{name}", type=kind, default=default, help=f"{help} [default: %(default)s]")
+    groups = commands(root)
+
+    frames = commands(command(groups, "frames", "Single-frame information."))
+    command(frames, "info", "Report per-frame bounds and frame verdicts.", frames_info).add_argument("file")
+
+    weave = commands(command(groups, "weave", "Weaving-level analysis."))
+    check = command(weave, "check", "Decide (or estimate) wovenness over all partitions.", weave_check)
+    check.add_argument("file")
+    check.add_argument("--mode", choices=["exhaustive", "sample"], default="exhaustive", help="[default: %(default)s]")
+    for name, summary, func in (
+        ("bounds", "Optimal bounds of one weaving.", weave_bounds_cmd),
+        ("dual", "Canonical (or alternate) dual of one weaving.", weave_dual),
+        ("tight", "Test one weaving for tightness.", weave_tight),
+    ):
+        parser = command(weave, name, summary, func)
+        parser.add_argument("file")
+        parser.add_argument("--partition", required=True, help="Comma-separated assignment word, e.g. 0,0,1.")
+        if name == "dual":
+            parser.add_argument(
+                "--alternate", help="Coefficients file selecting kernel combinations for an alternate dual."
+            )
+
+    certify = command(groups, "certify", "Run one sufficient-condition certifier.", certify_cmd)
+    certify.add_argument("method", choices=CERTIFY_METHODS)
+    certify.add_argument("file")
+    certify.add_argument("--k", type=int, default=0, help="Reference frame index. [default: %(default)s]")
+    certify.add_argument("--lambda", dest="lambdas", help="Comma-separated lambda values.")
+    certify.add_argument("--mu", dest="mus", help="Comma-separated mu values.")
+    certify.add_argument("--ops", help="Operators file.")
+    certify.add_argument("--universal", help="Known universal bounds A,B of the woven family.")
+    certify.add_argument("--perturbed", help="Frame file with the perturbed family (synthesis-perturb).")
+    return root
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None) -> NoReturn:
+    """Run one command on ``args`` (default ``sys.argv[1:]``) and raise SystemExit
+    with its exit code.  Every ToolError, usage errors included, ends here as one
+    JSON line on stderr and exit 2.  ``prog_name`` (default: the name the
+    process was started as) is the program named in help pages."""
+    try:
+        opts = _parser(prog_name).parse_args(args)
+        check_tol(opts.tol)
+        for name, least in (("threads", 1), ("samples", 1), ("seed", 0), ("cap", 1)):
+            if getattr(opts, name) < least:
+                raise InvalidArgumentError(f"{name} must be >= {least}")
+        opts.func(opts)
+    except ToolError as exc:
+        print(json.dumps({"error": exc.code, "message": exc.message}, sort_keys=True), file=sys.stderr)
+        sys.exit(2)
+
+
+# the in-process entry that callers such as the benchmark's traced child use
+main.main = main
+
+
+def run(prog_name: str | None = None) -> NoReturn:
     """Run ``main`` as a process and end it without interpreter teardown.
 
     Only ``SystemExit`` is caught; its code maps to an exit status as CPython
@@ -319,7 +315,7 @@ def run() -> NoReturn:
     """
     code = None
     try:
-        main()
+        main(prog_name=prog_name)
     except SystemExit as exc:
         code = exc.code
     if code is not None and not isinstance(code, int):

@@ -76,8 +76,8 @@ class FrameFamily:
         trace, overflows = self.largest_trace(stack)
         if overflows or trace * trace < np.finfo(float).tiny and stack.any():
             raise InvalidArgumentError(
-                f"frame vectors too {'large' if overflows else 'small'}: the largest weaving trace "
-                f"{trace:.3e} does not square to a normal float"
+                f"frame vectors too {'large' if overflows else 'small'}: with a largest |entry| of "
+                f"{np.abs(stack).max():.3e}, the largest weaving trace does not square to a normal float"
             )
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "stack", stack)
@@ -110,6 +110,11 @@ class Partition:
     num_frames: int
 
     def __post_init__(self):
+        # exact types, as ``io`` takes file entries: bool subclasses int, and
+        # a float or a string must not round or parse to an index
+        bad = [x for x in self.assignment if isinstance(x, bool) or not isinstance(x, (int, np.integer))]
+        if bad:
+            raise InvalidArgumentError(f"assignment entries must be integers, got {bad[0]!r}")
         a = tuple(int(x) for x in self.assignment)
         if self.num_frames < 1:
             raise InvalidArgumentError("num_frames must be >= 1")

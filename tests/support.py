@@ -10,7 +10,10 @@ syevd) rather than mirroring them.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -176,3 +179,53 @@ def random_woven_family(rng, m, n, d, eps=5e-2, min_lower=0.3):
         report = exhaustive_woven_check(family)
         if report.woven:
             return family, report
+
+
+@dataclass(frozen=True)
+class CliResult:
+    """What one in-process CLI call wrote, and its exit code; ``output`` is
+    stdout and stderr interleaved in the order they were written."""
+
+    exit_code: int
+    stdout_bytes: bytes
+    stderr_bytes: bytes
+    output_bytes: bytes
+
+    @property
+    def stdout(self) -> str:
+        return self.stdout_bytes.decode()
+
+    @property
+    def stderr(self) -> str:
+        return self.stderr_bytes.decode()
+
+    @property
+    def output(self) -> str:
+        return self.output_bytes.decode()
+
+
+class _Tee(io.StringIO):
+    def __init__(self, mixed: io.StringIO):
+        super().__init__()
+        self.mixed = mixed
+
+    def write(self, text: str) -> int:
+        self.mixed.write(text)
+        return super().write(text)
+
+
+class CliRunner:
+    """Calls ``cli.main(args=..., prog_name=...)`` in-process with stdout and
+    stderr captured.  Only SystemExit is caught, so any other exception fails
+    the test with its own traceback."""
+
+    def invoke(self, cli, args, prog_name="wovenframes") -> CliResult:
+        mixed = io.StringIO()
+        out, err = _Tee(mixed), _Tee(mixed)
+        code = 0
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                cli.main(args=list(args), prog_name=prog_name)
+            except SystemExit as exc:
+                code = exc.code or 0
+        return CliResult(code, out.getvalue().encode(), err.getvalue().encode(), mixed.getvalue().encode())

@@ -10,10 +10,10 @@ import time
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from conftest import record_acceptance
 
 from support import (
+    CliRunner,
     clamped_shift_frame,
     counterexample_family,
     example_pair,

@@ -134,6 +134,35 @@ class TestDualCanonicals:
                     terms[0] - terms[1], rel=1e-12, abs=1e-12 * max(terms)
                 )
 
+    # at 2^-250 and 2^250 LAPACK would rescale a raw S_F - S_G by a factor of
+    # its own, so both gaps come from the jointly scaled vectors, scaled back
+    @pytest.mark.parametrize("k", [-250, -40, 40, 250])
+    def test_margins_scale_exactly(self, k):
+        # the power of 2^k that each margin scales by
+        powers = {"operator_gap": 2, "norm_inv_first": -2, "norm_inv_second": -2, "threshold": 0,
+                  "margin_first": 0, "margin_second": 0, "lower_root": -1}
+        rng = np.random.default_rng(263)
+        checked = 0
+        for _ in range(10):
+            f = Frame(rng.normal(size=(6, 3)))
+            g = Frame(f.vectors + 0.02 * rng.normal(size=(6, 3)))
+            uni = oracle_bounds(FrameFamily([f, g]))
+            plain = certify_dual_canonicals(f, g, uni)
+            scaled = certify_dual_canonicals(
+                Frame(np.ldexp(f.vectors, k)),
+                Frame(np.ldexp(g.vectors, k)),
+                Bounds(np.ldexp(uni.lower, 2 * k), np.ldexp(uni.upper, 2 * k)),
+            )
+            assert scaled.margins.keys() == plain.margins.keys()
+            for key, value in plain.margins.items():
+                assert scaled.margins[key] == np.ldexp(value, powers[key] * k), key
+            assert scaled.hypothesis_satisfied == plain.hypothesis_satisfied
+            for got, want in ((scaled.guaranteed_lower, plain.guaranteed_lower),
+                              (scaled.guaranteed_upper, plain.guaranteed_upper)):
+                assert got == (None if want is None else np.ldexp(want, -2 * k))
+            checked += plain.guaranteed_lower is not None
+        assert checked >= 5
+
 
 class TestOperatorCharacterization:
     def test_at_oracle_lower(self):

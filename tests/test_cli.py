@@ -8,9 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from support import (
+    CliRunner,
     clamped_shift_frame,
     counterexample_family,
     example_pair,
@@ -671,13 +671,19 @@ class TestErrorContract:
             # non-finite numeric options
             (["certify", "invertible", "{pair}", "--ops", "{ops}", "--universal", "1,inf"], "invalid-argument"),
             (["certify", "lm-perturb", "{pair}", "--lambda", "0.5", "--mu", "inf"], "invalid-params"),
-            # usage errors click raises
+            # usage errors the parser raises
             (["weave", "bounds", "{pair}"], "invalid-argument"),
             (["--threads", "abc", "weave", "check", "{pair}"], "invalid-argument"),
             (["certify", "nosuch", "{pair}"], "invalid-argument"),
             (["--nosuch", "weave", "check", "{pair}"], "invalid-argument"),
             (["weave", "check"], "invalid-argument"),
             (["weave", "check", "{pair}", "--mode", "bogus"], "invalid-argument"),
+            # no command at all
+            ([], "invalid-argument"),
+            # an option name is never abbreviated
+            (["--thr", "2", "weave", "check", "{pair}"], "invalid-argument"),
+            # a value that starts with "-" and is not a plain negative number is read as an option
+            (["weave", "bounds", "{pair}", "--partition", "-1,0,0"], "invalid-argument"),
             # errors the library raises
             (["weave", "check", "{absent}"], "parse-error"),
             (["--cap", "4", "weave", "check", "{pair}"], "cap-exceeded"),
@@ -687,7 +693,7 @@ class TestErrorContract:
             (["--cap", "0", "weave", "check", "{pair}"], "invalid-argument"),
             (["--cap", "-5", "certify", "positivity", "{pair}"], "invalid-argument"),
         ],
-        ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+        ids=lambda v: (" ".join(v) or "no-arguments") if isinstance(v, list) else v,
     )
     # a warning printed before the error line would break the one-line contract
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -702,7 +708,7 @@ class TestErrorContract:
         for args in (["--help"], ["weave", "check", "--help"], ["certify", "--help"]):
             res = runner.invoke(main, args)
             assert res.exit_code == 0
-            assert res.stdout.startswith("Usage: ")
+            assert res.stdout.startswith("usage: ")
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -736,7 +742,7 @@ class TestProcessEntry:
         [
             (["weave", "check", "{pair}"], 0, None),
             (["weave", "check", "{counter}"], 1, None),
-            # one error the library raises, one click raises, one from a family that overflows
+            # one error the library raises, one the parser raises, one from a family that overflows
             (["weave", "check", "{absent}"], 2, "parse-error"),
             (["--threads", "abc", "weave", "check", "{pair}"], 2, "invalid-argument"),
             (["weave", "check", "{overflow}"], 2, "invalid-argument"),
@@ -747,7 +753,7 @@ class TestProcessEntry:
     def test_matches_the_click_group(self, runner, files, args, code, error):
         args = [a.format(**files) for a in args]
         proc = run_process(args)
-        # click names the program after how it was started
+        # the program is named after how it was started
         res = runner.invoke(main, args, prog_name="python -m wovenframes")
         assert (proc.returncode, proc.stdout, proc.stderr) == (res.exit_code, res.stdout_bytes, res.stderr_bytes)
         assert proc.returncode == code
@@ -764,6 +770,13 @@ class TestProcessEntry:
         res = runner.invoke(main, args)
         assert len(proc.stdout) > 1 << 16
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, res.stdout_bytes, b"")
+
+    def test_the_cli_imports_no_click(self):
+        # the parser is argparse's, and numpy is the one runtime dependency
+        code = "import sys, wovenframes.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'click'))"
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=120, check=True)
+        assert proc.stdout == b"[]\n"
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_a_failed_report_write_still_fails(self, pair_file):

@@ -77,6 +77,14 @@ class TestPartition:
         with pytest.raises(InvalidArgumentError, match="empty assignment"):
             Partition((), 2)
 
+    def test_entries_must_be_integers(self):
+        # a float would round to an index and a string parse to one; bool subclasses int
+        for entries in ((0.9, 1.7), ("1", True), (0, 1.0), (np.bool_(True), 0)):
+            with pytest.raises(InvalidArgumentError, match="assignment entries must be integers"):
+                Partition(entries, 2)
+        p = Partition((np.int64(1), np.uint8(0), 1), 2)
+        assert p.assignment == (1, 0, 1) and all(type(x) is int for x in p.assignment)
+
 
 class TestFrameFamily:
     def test_stores_its_stack_and_largest_trace(self):
@@ -130,6 +138,9 @@ class TestFrameFamily:
                 warnings.simplefilter("error")
                 with pytest.raises(InvalidArgumentError, match="too small"):
                     FrameFamily(members)
+        # the message names the size of the entries, not the trace that rounds to 0
+        with pytest.raises(InvalidArgumentError, match=r"too small: with a largest \|entry\| of 1\.000e-170,"):
+            FrameFamily(tiny[-1])
         # a trace of about 2^-500 squares to a normal float
         g = Frame(np.ldexp([[1.0, 0.0], [1.0, 1.0], [1.0, -1.0]], -250))
         FrameFamily([g, g])
