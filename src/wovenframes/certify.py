@@ -36,15 +36,7 @@ from .frames import (
     is_dual_pair,
     synthesis,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    as_matrix,
-    operator_norm,
-    singular_values,
-    sym_eig_bounds,
-    unit_scaled,
-    zero_threshold,
-)
+from .linalg import DEFAULT_TOL, jacobi_eigh_batch, operator_norm, singular_values, unit_scaled, zero_threshold
 from .weaving import DEFAULT_CAP, FrameFamily, bessel_upper_bound, exhaustive_woven_check
 
 
@@ -98,8 +90,10 @@ def _operators(operators, d: int) -> list[np.ndarray]:
     for i, u in enumerate(ops):
         if u.shape != (d, d):
             raise ShapeMismatchError(f"operators must be {d}x{d}, got {u.shape}")
+        if not np.all(np.isfinite(u)):
+            raise InvalidArgumentError("matrix entries must be finite")
         # U^T U is the frame operator of U's rows, so the family's rule applies
-        trace, overflows = FrameFamily.largest_trace(as_matrix(u)[None])
+        trace, overflows = FrameFamily.largest_trace(u[None])
         if overflows:
             raise InvalidArgumentError(
                 f"operator {i} too large: its Gram trace {trace:.3e} overflows when squared"
@@ -287,7 +281,8 @@ def certify_positivity(family: FrameFamily, k: int) -> Certificate:
         if i == k:
             continue
         for fij, fkj in zip(fr.vectors, family.frames[k].vectors):
-            lam_min, _ = sym_eig_bounds(np.outer(fij, fij) - np.outer(fkj, fkj))
+            # exactly symmetric: f_a f_b rounds as f_b f_a
+            lam_min = float(jacobi_eigh_batch((np.outer(fij, fij) - np.outer(fkj, fkj))[None])[0, 0])
             worst = min(worst, lam_min)
             negative |= lam_min < -zero_threshold(max(fij @ fij, fkj @ fkj))
     margins = {"min_difference_eigenvalue": float(worst)}
@@ -309,7 +304,7 @@ def _lm_spectrum(f_k: Frame, f_i: Frame, lam: float) -> tuple[np.ndarray, float,
     the smallest and largest eigenvalue of S_diff - lam * S_{F_k}."""
     if (f_k.dim, f_k.size) != (f_i.dim, f_i.size):
         raise ShapeMismatchError("frames must share (dim, size)")
-    s_diff = frame_operator(Frame(f_k.vectors - f_i.vectors))
+    s_diff = _operator(f_k.vectors - f_i.vectors)
     w = np.linalg.eigvalsh(s_diff - lam * frame_operator(f_k))
     return s_diff, float(w[0]), float(w[-1])
 

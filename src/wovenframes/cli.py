@@ -287,8 +287,20 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> NoRetur
     with its exit code.  Every ToolError, usage errors included, ends here as one
     JSON line on stderr and exit 2.  ``prog_name`` (default: the name the
     process was started as) is the program named in help pages."""
+    args = sys.argv[1:] if args is None else args
     try:
-        opts = _parser(prog_name).parse_args(args)
+        parser = _parser(prog_name)
+        try:
+            opts = parser.parse_args(args)
+        except InvalidArgumentError as exc:
+            # argparse reads the value of an unknown option before the command as the command
+            i = 0
+            while i < len(args) and args[i].partition("=")[0] in parser._option_string_actions:
+                i += 1 if "=" in args[i] else 2
+            option, value = (list(args[i : i + 2]) + ["", ""])[:2]
+            if option.startswith("-") and "=" not in option and f"invalid choice: {value!r}" in exc.message:
+                raise InvalidArgumentError(f"unrecognized arguments: {option} {value}") from None
+            raise
         check_tol(opts.tol)
         for name, least in (("threads", 1), ("samples", 1), ("seed", 0), ("cap", 1)):
             if getattr(opts, name) < least:

@@ -2,10 +2,11 @@
 
 Frame and weaving spectra are read with LAPACK's eigvalsh of the operators
 ``frames.frame_operator`` builds from ``unit_scaled`` vectors, as the scans do.
-``sym_eig_bounds`` solves one symmetric matrix by cyclic Jacobi rotations
-(``jacobi_eigh_batch``); it serves the positivity certificate alone.
-``singular_values``, ``operator_norm`` and ``null_space_basis`` take LAPACK's
-SVD of the matrix itself, so a small sigma keeps its relative accuracy.
+``jacobi_eigh_batch`` solves a stack of symmetric matrices by cyclic Jacobi
+rotations; it serves the positivity certificate alone.  ``singular_values``
+and ``operator_norm`` take LAPACK's SVD of the matrix itself, so a small sigma
+keeps its relative accuracy.  Callers pass finite operands, symmetric where
+Jacobi needs it, as they have settled already; no kernel checks them again.
 The package's numeric defaults are defined here and nowhere else: ``ZERO_RTOL``,
 the relative cut at or below which ``zero_threshold`` counts a value as zero,
 and ``DEFAULT_TOL``, the tolerance of identity tests such as T_F T_G^T = I.
@@ -23,7 +24,6 @@ from .errors import InvalidArgumentError
 ZERO_RTOL = 1e-10
 DEFAULT_TOL = 1e-10
 
-_SYM_RTOL = 1e-12
 _JACOBI_RTOL = 1e-14
 _JACOBI_MAX_SWEEPS = 100
 
@@ -45,24 +45,6 @@ def unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
     (e = 0 when ``a`` is 0): exact while no value leaves the normal floats."""
     e = int(np.frexp(np.abs(a).max())[1])
     return np.ldexp(a, -e), e
-
-
-def as_matrix(m) -> np.ndarray:
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.size == 0:
-        raise InvalidArgumentError(f"expected a nonempty 2-d matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidArgumentError("matrix entries must be finite")
-    return a
-
-
-def check_symmetric(m) -> np.ndarray:
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise InvalidArgumentError(f"expected a square matrix, got shape {a.shape}")
-    if np.max(np.abs(a - a.T)) > _SYM_RTOL * np.max(np.abs(a)):
-        raise InvalidArgumentError("matrix is not symmetric within tolerance")
-    return a
 
 
 def jacobi_eigh_batch(stack: np.ndarray) -> np.ndarray:
@@ -113,12 +95,6 @@ def jacobi_eigh_batch(stack: np.ndarray) -> np.ndarray:
     return np.sort(np.einsum("kii->ki", a), axis=1)
 
 
-def sym_eig_bounds(m) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of a symmetric matrix."""
-    w = jacobi_eigh_batch(check_symmetric(m)[None])[0]
-    return float(w[0]), float(w[-1])
-
-
 def operator_norm(m) -> float:
     """Largest singular value."""
     return float(singular_values(m)[0])
@@ -126,12 +102,4 @@ def operator_norm(m) -> float:
 
 def singular_values(m) -> np.ndarray:
     """All singular values, descending."""
-    return np.linalg.svd(as_matrix(m), compute_uv=False)
-
-
-def null_space_basis(m) -> list[np.ndarray]:
-    """Orthonormal basis of ker(M): the right singular vectors past the rank, the
-    count of sigma above ``zero_threshold`` of sigma_max."""
-    _, sigma, vt = np.linalg.svd(as_matrix(m))
-    rank = int(np.count_nonzero(sigma > zero_threshold(sigma[0])))
-    return list(vt[rank:])
+    return np.linalg.svd(m, compute_uv=False)

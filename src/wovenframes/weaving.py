@@ -42,7 +42,7 @@ from .frames import (
     inverse_frame_operator,
     synthesis,
 )
-from .linalg import DEFAULT_TOL, check_tol, null_space_basis, operator_norm, unit_scaled, zero_threshold
+from .linalg import DEFAULT_TOL, check_tol, operator_norm, unit_scaled, zero_threshold
 
 DEFAULT_CAP = 2**22
 # Slack of the exhaustive scan's test shifts, relative to the largest trace.
@@ -476,8 +476,9 @@ def weaving_alternate_dual(
     """Dual of the weaving of the form S_W^{-1} T_W + U with T_W U^T = 0.
 
     ``kernel_coefficients`` is either a d x r matrix of combinations of the
-    orthonormal kernel basis of T_W (r = kernel dimension), or a raw d x n
-    matrix U whose rows are then verified to lie in the kernel.
+    orthonormal kernel basis of T_W, its right singular vectors past the first
+    d (r = n - d), or a raw d x n matrix U whose rows are then verified to lie
+    in the kernel.  Its entries must be finite.
     """
     check_tol(tol)
     w = weave(family, p)
@@ -489,17 +490,15 @@ def weaving_alternate_dual(
         raise ShapeMismatchError(
             f"kernel coefficients need {d} rows (one per output coordinate), got shape {c.shape}"
         )
-    if c.shape[1] == n:
-        # a frame weaving has a kernel of dimension n - d < n, so n columns are raw
-        u = c
-    else:
-        kernel = null_space_basis(t_w)
-        r = len(kernel)
-        if c.shape[1] != r:
-            raise ShapeMismatchError(
-                f"kernel coefficients must have {r} (kernel) or {n} (raw) columns, got {c.shape[1]}"
-            )
-        u = c @ np.array(kernel).reshape(r, n) if r else np.zeros((d, n))
+    # the frame rule puts sigma_min above 1e-5 sigma_max: rank d, so a kernel of dimension n - d < n
+    r = n - d
+    if c.shape[1] not in (r, n):
+        raise ShapeMismatchError(
+            f"kernel coefficients must have {r} (kernel) or {n} (raw) columns, got {c.shape[1]}"
+        )
+    if not np.all(np.isfinite(c)):
+        raise InvalidArgumentError("kernel coefficients must be finite")
+    u = c if c.shape[1] == n else c @ np.linalg.svd(t_w)[2][d:]
     # each test is relative to the size of its product: ||T_W|| times the
     # Frobenius norm of U, or of the dual, whose product with T_W is I
     norm_t = np.sqrt(bounds.upper)

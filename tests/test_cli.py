@@ -135,6 +135,33 @@ class TestParsing:
         p.write_text(json.dumps({"coefficients": [[0.0], [1.0]]}))
         np.testing.assert_array_equal(parse_coefficients_file(p), [[0.0], [1.0]])
 
+    @pytest.mark.parametrize(
+        "parse, doc, message",
+        [
+            (parse_frame_file, [1], "top level must be an object"),
+            (parse_frame_file, {"dim": 2, "frames": {}}, "field 'frames' must be an array"),
+            (parse_frame_file, {"dim": 2, "frames": [[1, 0]]}, "frame 0 must be an object with 'vectors'"),
+            (parse_frame_file, {"dim": 2, "frames": [{"label": "F"}]}, "frame 0 must be an object with 'vectors'"),
+            (parse_frame_file, {"dim": 1, "frames": [{"label": 3, "vectors": [[1]]}]}, "frame 0: 'label' must be a string"),
+            (parse_frame_file, {"dim": 2, "frames": [{"vectors": []}]}, "frame 0: expected a nonempty array of rows"),
+            (parse_frame_file, {"dim": 2, "frames": [{"vectors": 5}]}, "frame 0: expected a nonempty array of rows"),
+            (parse_frame_file, {"dim": 2, "frames": [{"vectors": [1, 0]}]}, "frame 0, row 0: expected an array of numbers"),
+            (parse_operators_file, {}, "field 'operators' must be a nonempty array"),
+            (parse_operators_file, {"operators": []}, "field 'operators' must be a nonempty array"),
+            (parse_coefficients_file, {"coeffs": [[1]]}, "field 'coefficients' is required"),
+        ],
+        ids=[
+            "top-level-array", "frames-object", "frame-array", "frame-without-vectors", "label-number",
+            "vectors-empty", "vectors-number", "row-number", "operators-missing", "operators-empty",
+            "coefficients-missing",
+        ],
+    )
+    def test_malformed_structure(self, tmp_path, parse, doc, message):
+        p = tmp_path / "malformed.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse(p)
+
     @pytest.mark.parametrize("entry", ["true", '"2"', "1" + "0" * 400], ids=["bool", "string", "huge-int"])
     @pytest.mark.parametrize(
         "parse, template",
@@ -613,6 +640,11 @@ class TestErrorContract:
             "ops": {"operators": [np.eye(2).tolist(), np.eye(2).tolist()]},
             "huge_ops": {"operators": [[[1e200, 0], [0, 1]], np.eye(2).tolist()]},
             "rank_one_ops": {"operators": [[[1, 2], [3, 6]], np.eye(2).tolist()]},
+            # JSON text "Infinity" and "NaN", which Python's parser reads as floats
+            "inf_ops": {"operators": [[[np.inf, 0], [0, 1]], np.eye(2).tolist()]},
+            "nan_ops": {"operators": [np.eye(2).tolist(), [[1, 0], [0, np.nan]]]},
+            "inf_coeffs": {"coefficients": [[np.inf, 0, 0], [0, 0, 0]]},
+            "nan_coeffs": {"coefficients": [[np.nan], [0]]},
         }
         raw = {
             # deeper than the parser recurses
@@ -651,6 +683,14 @@ class TestErrorContract:
             # operators whose Gram trace overflows when squared
             (["certify", "invertible", "{pair}", "--ops", "{huge_ops}", "--universal", "1,3"], "invalid-argument"),
             (["certify", "op-family", "{pair}", "--ops", "{huge_ops}"], "invalid-argument"),
+            # non-finite operator entries and alternate-dual coefficients (raw and kernel form)
+            (["certify", "op-family", "{pair}", "--ops", "{inf_ops}"], ("invalid-argument", "matrix entries must be finite")),
+            (["certify", "invertible", "{pair}", "--ops", "{nan_ops}", "--universal", "1,3"],
+             ("invalid-argument", "matrix entries must be finite")),
+            (["weave", "dual", "{pair}", "--partition", "0,0,1", "--alternate", "{inf_coeffs}"],
+             ("invalid-argument", "kernel coefficients must be finite")),
+            (["weave", "dual", "{pair}", "--partition", "0,0,1", "--alternate", "{nan_coeffs}"],
+             ("invalid-argument", "kernel coefficients must be finite")),
             # a rank-one operator has sigma_min = 0, not the Gram product's rounding
             (["certify", "invertible", "{pair}", "--ops", "{rank_one_ops}", "--universal", "1,3"], "singular-operator"),
             # booleans and numeric strings are not numbers
@@ -680,8 +720,8 @@ class TestErrorContract:
             (["weave", "check", "{pair}", "--mode", "bogus"], "invalid-argument"),
             # no command at all
             ([], "invalid-argument"),
-            # an option name is never abbreviated
-            (["--thr", "2", "weave", "check", "{pair}"], "invalid-argument"),
+            # an option name is never abbreviated, and its value is not read as the command
+            (["--thr", "2", "weave", "check", "{pair}"], ("invalid-argument", "^unrecognized arguments: --thr 2$")),
             # a value that starts with "-" and is not a plain negative number is read as an option
             (["weave", "bounds", "{pair}", "--partition", "-1,0,0"], "invalid-argument"),
             # errors the library raises
@@ -693,16 +733,20 @@ class TestErrorContract:
             (["--cap", "0", "weave", "check", "{pair}"], "invalid-argument"),
             (["--cap", "-5", "certify", "positivity", "{pair}"], "invalid-argument"),
         ],
-        ids=lambda v: (" ".join(v) or "no-arguments") if isinstance(v, list) else v,
+        # a code given as (code, pattern) also pins the message
+        ids=lambda v: (" ".join(v) or "no-arguments") if isinstance(v, list) else v if isinstance(v, str) else v[0],
     )
     # a warning printed before the error line would break the one-line contract
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_one_json_line(self, runner, files, args, code):
+        code, pattern = code if isinstance(code, tuple) else (code, "")
         res = runner.invoke(main, [a.format(**files) for a in args])
         assert res.exit_code == 2
         assert res.stdout == ""
         assert len(res.stderr.splitlines()) == 1
-        assert json.loads(res.stderr)["error"] == code
+        error = json.loads(res.stderr)
+        assert error["error"] == code
+        assert re.search(pattern, error["message"]), error["message"]
 
     def test_help_pages_exit_zero(self, runner):
         for args in (["--help"], ["weave", "check", "--help"], ["certify", "--help"]):

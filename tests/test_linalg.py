@@ -7,44 +7,42 @@ from hypothesis.extra.numpy import arrays
 from support import matrix_with_singular_values
 from wovenframes.errors import InvalidArgumentError
 from wovenframes import Frame, FrameFamily, Partition, frame_bounds, frame_operator, is_tight_weaving
-from wovenframes.linalg import (
-    jacobi_eigh_batch,
-    null_space_basis,
-    operator_norm,
-    singular_values,
-    sym_eig_bounds,
-)
+from wovenframes.linalg import jacobi_eigh_batch, operator_norm, singular_values
+
+
+def _extremes(a) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of one symmetric matrix, as the positivity
+    certificate reads them: a stack of one for ``jacobi_eigh_batch``."""
+    w = jacobi_eigh_batch(np.asarray(a, dtype=float)[None])[0]
+    return float(w[0]), float(w[-1])
 
 
 class TestSymEigBounds:
+    """The extreme eigenvalues ``jacobi_eigh_batch`` gives one symmetric matrix."""
+
     def test_identity(self):
-        assert sym_eig_bounds(np.eye(2)) == (1.0, 1.0)
+        assert _extremes(np.eye(2)) == (1.0, 1.0)
 
     def test_two_by_two(self):
         # characteristic polynomial of [[2,1],[1,2]]: (lam-1)(lam-3)
-        lo, hi = sym_eig_bounds([[2.0, 1.0], [1.0, 2.0]])
+        lo, hi = _extremes([[2.0, 1.0], [1.0, 2.0]])
         assert lo == pytest.approx(1.0, abs=1e-12)
         assert hi == pytest.approx(3.0, abs=1e-12)
 
     def test_diagonal(self):
-        assert sym_eig_bounds([[3.0, 0.0], [0.0, 2.0]]) == (2.0, 3.0)
-
-    def test_rejects_asymmetric(self):
-        # the symmetry test is relative to the largest entry, at any scale
-        for c in (1e-20, 1.0, 1e20):
-            with pytest.raises(InvalidArgumentError):
-                sym_eig_bounds(c * np.array([[0.0, 1.0], [0.0, 0.0]]))
-            assert sym_eig_bounds(c * np.array([[1.0, 1.0], [1.0 + 1e-13, 1.0]]))[1] > 0.0
+        assert _extremes([[3.0, 0.0], [0.0, 2.0]]) == (2.0, 3.0)
 
     def test_rejects_non_square(self):
-        with pytest.raises(InvalidArgumentError):
-            sym_eig_bounds(np.ones((2, 3)))
+        # the stack must be (K, d, d): a single matrix, or rectangular ones, are not
+        for shape in ((1, 2, 3), (2, 2), (1, 1, 2, 2)):
+            with pytest.raises(InvalidArgumentError, match=r"expected a \(K, d, d\) stack"):
+                jacobi_eigh_batch(np.ones(shape))
 
     def test_deterministic(self):
         rng = np.random.default_rng(7)
         a = rng.normal(size=(5, 5))
         a = a + a.T
-        assert sym_eig_bounds(a) == sym_eig_bounds(a.copy())
+        assert _extremes(a) == _extremes(a.copy())
 
     def test_matches_lapack_on_random(self):
         rng = np.random.default_rng(11)
@@ -52,7 +50,7 @@ class TestSymEigBounds:
             d = rng.integers(1, 7)
             a = rng.normal(size=(d, d))
             a = a + a.T
-            lo, hi = sym_eig_bounds(a)
+            lo, hi = _extremes(a)
             w = np.linalg.eigvalsh(a)
             scale = max(abs(w[0]), abs(w[-1]), 1.0)
             assert abs(lo - w[0]) <= 1e-12 * scale
@@ -66,7 +64,7 @@ class TestSymEigBounds:
             d = int(rng.integers(1, 7))
             a = rng.normal(size=(d, d))
             a = a + a.T
-            lo, hi = sym_eig_bounds(a)
+            lo, hi = _extremes(a)
             v = rng.normal(size=(d, 10_000))
             quo = np.einsum("dk,dk->k", v, a @ v) / np.einsum("dk,dk->k", v, v)
             assert quo.min() >= lo - 1e-9
@@ -88,7 +86,7 @@ def _recorded(tiny, big):
 @example(_recorded(3.06e-160, 10.0))
 def test_sym_eig_bounds_agrees_with_lapack(raw):
     a = raw + raw.T
-    lo, hi = sym_eig_bounds(a)
+    lo, hi = _extremes(a)
     # The oracle solves a copy without entries below 1e-100 of the largest,
     # which LAPACK can mishandle; by Weyl's inequality that moves each
     # eigenvalue by at most 4e-100 of the largest entry.
@@ -157,49 +155,6 @@ class TestOperatorNorm:
         for _ in range(100):
             m = rng.normal(size=(int(rng.integers(1, 6)), int(rng.integers(1, 6))))
             assert abs(operator_norm(m) - operator_norm(m.T)) <= 1e-12 * (1 + operator_norm(m))
-
-
-class TestNullSpace:
-    def test_invertible_has_trivial_kernel(self):
-        assert null_space_basis([[2.0, 1.0], [1.0, 2.0]]) == []
-
-    def test_wide_matrix(self):
-        basis = null_space_basis([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
-        assert len(basis) == 1
-        expected = np.array([-1.0, -1.0, 1.0]) / np.sqrt(3.0)
-        v = basis[0]
-        assert min(np.max(np.abs(v - expected)), np.max(np.abs(v + expected))) < 1e-10
-
-    def test_zero_matrix(self):
-        basis = null_space_basis(np.zeros((2, 3)))
-        assert len(basis) == 3
-
-    def test_small_sigma_is_not_a_kernel(self):
-        # sigma is cut at ZERO_RTOL * sigma_max, so 1e-6 is not zero: a cut on
-        # the Gram spectrum sigma^2 would read it as a kernel
-        rng = np.random.default_rng(23)
-        for _ in range(20):
-            m = matrix_with_singular_values(rng, (4, 4), [1.0, 0.5, 0.2, 1e-6])
-            assert null_space_basis(m) == []
-            singular = matrix_with_singular_values(rng, (4, 4), [1.0, 0.5, 0.2, 0.0])
-            basis = null_space_basis(singular)
-            assert len(basis) == 1
-            assert np.linalg.norm(singular @ basis[0]) <= 1e-14
-
-    def test_residual_and_orthonormality(self):
-        rng = np.random.default_rng(21)
-        for _ in range(100):
-            rows = int(rng.integers(1, 5))
-            cols = int(rng.integers(1, 7))
-            rank = int(rng.integers(0, min(rows, cols) + 1))
-            m = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols)) if rank else np.zeros((rows, cols))
-            basis = null_space_basis(m)
-            assert len(basis) >= cols - rank
-            for v in basis:
-                assert np.linalg.norm(m @ v) <= 1e-10 * (1 + operator_norm(m))
-            if basis:
-                gram = np.array(basis) @ np.array(basis).T
-                assert np.max(np.abs(gram - np.eye(len(basis)))) <= 1e-10
 
 
 class TestRelativeStopRule:

@@ -20,6 +20,7 @@ from support import (
     full_flat_scan,
     gather_operators,
     integer_woven,
+    matrix_with_singular_values,
     random_woven_family,
 )
 from wovenframes import (
@@ -1170,18 +1171,95 @@ class TestWeavingDuals:
         assert sum(np.array_equal(s, np.ldexp(s_w, -2 * e)) for s in stacks) == 1
 
     def test_raw_form_never_computes_the_kernel(self, monkeypatch):
-        def refused(m):
-            raise AssertionError("null_space_basis called for a raw U")
+        calls = []
 
-        monkeypatch.setattr(weaving, "null_space_basis", refused)
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return svd(*args, **kwargs)
+
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", counted)
         fam, p = example_family(), Partition((0, 0, 1), 2)
         # the selected vectors (1,0), (0,1), (1,-1) annihilate (1,-1,-1) and its multiples
         raw = np.array([[1.0, -1.0, -1.0], [0.0, 0.0, 0.0]])
         alt = weaving_alternate_dual(fam, p, raw)
+        assert calls == []
         ok, _ = is_dual_pair(weave(fam, p), alt)
         assert ok
         canon = weaving_canonical_dual(fam, p)
         np.testing.assert_allclose(alt.vectors.T - canon.vectors.T, raw, atol=1e-12)
+        # the kernel form takes the kernel from one SVD of T_W
+        weaving_alternate_dual(fam, p, raw[:, :1])
+        assert len(calls) == 1
+
+    def test_wide_weaving_kernel_row(self):
+        # T_W = [[1, 0, 1], [0, 1, 1]] has the one kernel row (-1, -1, 1) / sqrt(3)
+        fam, p = example_family(), Partition((0, 0, 0), 2)
+        u = (
+            weaving_alternate_dual(fam, p, np.array([[1.0], [0.0]])).vectors.T
+            - weaving_canonical_dual(fam, p).vectors.T
+        )
+        expected = np.array([-1.0, -1.0, 1.0]) / np.sqrt(3.0)
+        assert min(np.max(np.abs(u[0] - expected)), np.max(np.abs(u[0] + expected))) < 1e-12
+        assert np.all(u[1] == 0.0)
+
+    def test_square_weaving_has_no_kernel(self):
+        # n = d: coefficients of shape (d, 0) combine no kernel rows
+        fam = FrameFamily([Frame(np.eye(2)), Frame(np.array([[1.0, 1.0], [0.0, 1.0]]))])
+        p = Partition((1, 0), 2)
+        alt = weaving_alternate_dual(fam, p, np.zeros((2, 0)))
+        np.testing.assert_allclose(alt.vectors, weaving_canonical_dual(fam, p).vectors, rtol=0, atol=1e-15)
+        with pytest.raises(ShapeMismatchError, match=r"must have 0 \(kernel\) or 2 \(raw\) columns, got 1"):
+            weaving_alternate_dual(fam, p, np.zeros((2, 1)))
+
+    def test_small_sigma_is_not_a_kernel(self):
+        # the frame rule cuts lambda_min = sigma_min^2 at ZERO_RTOL * lambda_max, so
+        # sigma_min = 1e-4 sigma_max is a frame of rank d, with a kernel of n - d
+        # rows, and 1e-6 is no frame at all
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            v = matrix_with_singular_values(rng, (6, 4), [1.0, 0.5, 0.2, 1e-4])
+            fam, p = FrameFamily([Frame(v)]), Partition((0,) * 6, 1)
+            alt = weaving_alternate_dual(fam, p, rng.normal(size=(4, 2)))
+            assert is_dual_pair(weave(fam, p), alt, tol=1e-8)[0]
+            with pytest.raises(ShapeMismatchError, match=r"must have 2 \(kernel\) or 6 \(raw\) columns, got 3"):
+                weaving_alternate_dual(fam, p, np.zeros((4, 3)))
+            v = matrix_with_singular_values(rng, (6, 4), [1.0, 0.5, 0.2, 1e-6])
+            with pytest.raises(NotAFrameError):
+                weaving_alternate_dual(FrameFamily([Frame(v)]), p, np.zeros((4, 2)))
+
+    def test_kernel_rows_are_orthonormal(self):
+        # U = alternate - canonical = c K with K the orthonormal kernel rows, so
+        # T_W U^T = 0 and U U^T = c c^T
+        rng = np.random.default_rng(21)
+        done = 0
+        while done < 100:
+            n, d = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+            if n < d:
+                continue
+            fam = FrameFamily([Frame(rng.normal(size=(n, d))) for _ in range(2)])
+            p = Partition(tuple(rng.integers(0, 2, size=n)), 2)
+            if frame_bounds(weave(fam, p)).lower <= 1e-6:
+                continue
+            c = rng.normal(size=(d, n - d))
+            u = weaving_alternate_dual(fam, p, c).vectors.T - weaving_canonical_dual(fam, p).vectors.T
+            t_w = weave(fam, p).vectors.T
+            scale = np.linalg.norm(t_w, 2) * (1.0 + np.linalg.norm(c))
+            assert np.max(np.abs(t_w @ u.T)) <= 1e-10 * scale
+            np.testing.assert_allclose(u @ u.T, c @ c.T, rtol=0, atol=1e-10 * (1.0 + np.linalg.norm(c) ** 2))
+            done += 1
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_coefficients_must_be_finite(self, bad, columns):
+        # a non-finite U used to reach T_W U^T, warn, and fail as a non-finite frame
+        fam, p = example_family(), Partition((0, 0, 1), 2)
+        c = np.zeros((2, columns))
+        c[0, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match="kernel coefficients must be finite"):
+                weaving_alternate_dual(fam, p, c)
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-10])
     def test_tol_must_be_finite_and_nonnegative(self, tol):
